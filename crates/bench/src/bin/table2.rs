@@ -61,7 +61,8 @@ fn main() {
     // interpreter, and CI byte-diffs a run under each engine.
     let engine = match flag_value(&args, "--filter-engine").as_deref() {
         Some("compiled") => FilterEngine::Compiled,
-        Some("interpret") | None => FilterEngine::Interpret,
+        Some("interpret") => FilterEngine::Interpret,
+        None => FilterEngine::default(),
         Some(other) => {
             eprintln!("table2: unknown --filter-engine '{other}'");
             std::process::exit(2);

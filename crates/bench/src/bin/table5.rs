@@ -59,7 +59,8 @@ fn main() {
     // run under each engine to prove it.
     let engine = match flag_value("--filter-engine").as_deref() {
         Some("compiled") => FilterEngine::Compiled,
-        Some("interpret") | None => FilterEngine::Interpret,
+        Some("interpret") => FilterEngine::Interpret,
+        None => FilterEngine::default(),
         Some(other) => {
             eprintln!("table5: unknown --filter-engine '{other}'");
             std::process::exit(2);

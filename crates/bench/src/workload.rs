@@ -90,7 +90,7 @@ impl WorkloadSpec {
             payload: 64,
             seed,
             ballast_timers: 0,
-            engine: FilterEngine::Interpret,
+            engine: FilterEngine::default(),
             batch: psd_kernel::BatchConfig::default(),
             placement: None,
         }
@@ -494,7 +494,7 @@ mod tests {
                 SystemConfig::LibraryShm,
                 Platform::DecStation5000_200,
                 strategy,
-                &spec,
+                &spec.clone().with_engine(FilterEngine::Interpret),
                 true,
             );
             let b = session_scaling(

@@ -16,11 +16,11 @@
 //! Table 4.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 use crate::compile::{compile_endpoint, session_prefix, EndpointSpec};
-use crate::compiled::{CompiledFilter, FilterEngine};
+use crate::compiled::{CompiledFilter, FilterEngine, SessionShape, ShapeRow};
 use crate::placement::CopyPlacement;
 use crate::vm::Program;
 use psd_wire::{EthernetHeader, IpProto, Ipv4Header, ETHER_HDR_LEN};
@@ -67,20 +67,33 @@ struct Installed<T> {
 
 type MpfKey = (u8, Ipv4Addr, u16, Option<(Ipv4Addr, u16)>);
 
+/// One entry of the CSPF plan: an installed filter's slot and its
+/// compare values over the table's [`SessionShape`].
+struct PlanRow {
+    slot: u32,
+    row: ShapeRow,
+}
+
+// The plan holds one row per installed filter, so its size is
+// per-filter memory at every session count.
+const _: () = assert!(std::mem::size_of::<PlanRow>() == 28);
+
 /// The table of installed per-session filters.
 ///
-/// All maintenance is incremental: install and remove are O(log n),
-/// CSPF evaluation order is kept in a sorted map rather than
-/// re-sorting a vector, and the MPF endpoint index maps each key to
-/// the set of filter ids sharing it (the earliest install wins,
-/// exactly as a specificity-then-install-ordered scan would pick it).
+/// Filters live in a slab. The CSPF scan — the hot path that runs once
+/// per installed filter per received packet — walks one dense plan:
+/// a vector of rows in evaluation order (specificity descending, then
+/// install order), each holding the filter's slot and its compare
+/// values over the shared session-filter shape. Under the compiled
+/// engine a frame's shape words are read once and each row is a few
+/// `u16` compares; the interpreter walks the same rows and runs each
+/// slot's program. Install and remove find their row by binary search.
 ///
-/// Filters live in a slab: the CSPF scan — the hot path that runs
-/// once per installed filter per received packet — resolves each
-/// order entry with a dense vector index instead of a hashed lookup,
-/// so per-filter scan overhead is a pointer chase, not a SipHash.
-/// The id→slot map is consulted only on the control path
-/// (install/remove/spec/owner) and by the O(1) MPF dispatch.
+/// The MPF endpoint index maps each key to the set of filter ids
+/// sharing it (the earliest install wins, exactly as a
+/// specificity-then-install-ordered scan would pick it). The id→slot
+/// map is consulted only on the control path (install/remove/spec/
+/// owner) and by the O(1) MPF dispatch.
 pub struct DemuxTable<T> {
     strategy: DemuxStrategy,
     engine: FilterEngine,
@@ -90,12 +103,17 @@ pub struct DemuxTable<T> {
     free: Vec<usize>,
     /// Control-path index: filter id → slot.
     by_id: HashMap<u64, usize>,
-    /// CSPF evaluation order: (specificity descending, id ascending)
-    /// → slot.
-    order: BTreeMap<(Reverse<u8>, u64), usize>,
+    /// CSPF evaluation order: rows sorted by (specificity descending,
+    /// id ascending).
+    plan: Vec<PlanRow>,
     mpf_index: HashMap<MpfKey, BTreeSet<u64>>,
     prefix_len: usize,
     next_id: u64,
+}
+
+/// CSPF evaluation order: specificity descending, then install order.
+fn order_key<T>(f: &Installed<T>) -> (Reverse<u8>, u64) {
+    (Reverse(f.spec.specificity()), f.id.0)
 }
 
 fn mpf_key(spec: &EndpointSpec) -> MpfKey {
@@ -108,10 +126,10 @@ fn mpf_key(spec: &EndpointSpec) -> MpfKey {
 }
 
 impl<T: Clone> DemuxTable<T> {
-    /// Creates an empty table with the given strategy and the
-    /// interpreter engine.
+    /// Creates an empty table with the given strategy and the default
+    /// (compiled) engine.
     pub fn new(strategy: DemuxStrategy) -> DemuxTable<T> {
-        DemuxTable::with_engine(strategy, FilterEngine::Interpret)
+        DemuxTable::with_engine(strategy, FilterEngine::default())
     }
 
     /// Creates an empty table with the given strategy and execution
@@ -123,7 +141,7 @@ impl<T: Clone> DemuxTable<T> {
             slots: Vec::new(),
             free: Vec::new(),
             by_id: HashMap::new(),
-            order: BTreeMap::new(),
+            plan: Vec::new(),
             mpf_index: HashMap::new(),
             prefix_len: session_prefix().len(),
             next_id: 1,
@@ -184,6 +202,7 @@ impl<T: Clone> DemuxTable<T> {
         // Lowered per install, never shared between ids: program
         // equality must not be load-bearing for artifact lifetime.
         let compiled = CompiledFilter::compile(&program);
+        let row = SessionShape::get().row(&compiled);
         let installed = Installed {
             id,
             spec,
@@ -203,7 +222,10 @@ impl<T: Clone> DemuxTable<T> {
             }
         };
         self.by_id.insert(id.0, slot);
-        self.order.insert((Reverse(spec.specificity()), id.0), slot);
+        // Ids only grow, so the new row goes last among its specificity.
+        let at = self.plan_position(slot);
+        let slot = u32::try_from(slot).expect("fewer than 2^32 filters");
+        self.plan.insert(at, PlanRow { slot, row });
         self.mpf_index
             .entry(mpf_key(&spec))
             .or_default()
@@ -216,9 +238,11 @@ impl<T: Clone> DemuxTable<T> {
         let Some(slot) = self.by_id.remove(&id.0) else {
             return false;
         };
+        let at = self.plan_position(slot);
+        assert_eq!(self.plan[at].slot as usize, slot, "plan row out of order");
+        self.plan.remove(at);
         let f = self.slots[slot].take().expect("by_id points at live slot");
         self.free.push(slot);
-        self.order.remove(&(Reverse(f.spec.specificity()), id.0));
         let key = mpf_key(&f.spec);
         if let Some(ids) = self.mpf_index.get_mut(&key) {
             ids.remove(&id.0);
@@ -227,6 +251,17 @@ impl<T: Clone> DemuxTable<T> {
             }
         }
         true
+    }
+
+    /// Where the live filter in `slot` sits (or goes) in the CSPF plan.
+    fn plan_position(&self, slot: usize) -> usize {
+        let key = order_key(self.live(slot));
+        self.plan
+            .partition_point(|r| order_key(self.live(r.slot as usize)) < key)
+    }
+
+    fn live(&self, slot: usize) -> &Installed<T> {
+        self.slots[slot].as_ref().expect("points at live slot")
     }
 
     fn get(&self, id: u64) -> Option<&Installed<T>> {
@@ -276,23 +311,26 @@ impl<T: Clone> DemuxTable<T> {
 
     fn classify_cspf(&self, frame: &[u8]) -> DemuxResult<T> {
         let mut steps = 0;
-        for &slot in self.order.values() {
-            let f = self.slots[slot]
-                .as_ref()
-                .expect("order points at live slot");
-            let out = match self.engine {
-                FilterEngine::Interpret => f.program.run(frame),
-                FilterEngine::Compiled => f.compiled.run(frame),
-            };
-            steps += out.steps;
-            if out.accepted {
-                return DemuxResult {
-                    owner: Some((f.id, f.owner.clone())),
-                    steps,
-                };
+        let hit = match self.engine {
+            FilterEngine::Interpret => self.plan.iter().find(|r| {
+                let out = self.live(r.slot as usize).program.run(frame);
+                steps += out.steps;
+                out.accepted
+            }),
+            FilterEngine::Compiled => {
+                let words = SessionShape::get().load(frame);
+                self.plan.iter().find(|r| {
+                    let out = words.run(&r.row);
+                    steps += out.steps;
+                    out.accepted
+                })
             }
-        }
-        DemuxResult { owner: None, steps }
+        };
+        let owner = hit.map(|r| {
+            let f = self.live(r.slot as usize);
+            (f.id, f.owner.clone())
+        });
+        DemuxResult { owner, steps }
     }
 
     fn classify_mpf(&self, frame: &[u8]) -> DemuxResult<T> {

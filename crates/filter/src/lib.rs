@@ -20,7 +20,8 @@
 //!   recognizer for the canonical session-filter shape, or a
 //!   direct-threaded fallback for arbitrary programs — that reproduces
 //!   the interpreter's verdict, step count, and error cause exactly.
-//!   `FilterEngine::{Interpret,Compiled}` selects the tier per table.
+//!   `FilterEngine::{Interpret,Compiled}` selects the tier per table;
+//!   the compiled tier is the default.
 //! - [`demux`]: the table of installed filters. Two strategies are
 //!   provided: `Cspf` runs each program in turn (the 1987 design), and
 //!   `Mpf` collapses the shared prefix and dispatches on the endpoint

@@ -465,7 +465,7 @@ impl Kernel {
         self.demux = DemuxTable::with_engine(strategy, self.demux.engine());
     }
 
-    /// Selects the filter execution engine (default: interpreter). The
+    /// Selects the filter execution engine (default: compiled). The
     /// engines are observationally equivalent — same verdicts, same
     /// charged step counts — so this may be called at any time; the
     /// demux table keeps compiled artifacts in sync either way.
@@ -2055,7 +2055,7 @@ mod tests {
                 5555,
                 1000 + i * 50,
                 TcpFlags::ACK,
-                &vec![0xAB; 50],
+                &[0xAB; 50],
             );
             Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         }
@@ -2092,7 +2092,7 @@ mod tests {
                 5555,
                 seq,
                 flags,
-                &vec![0xCD; 100],
+                &[0xCD; 100],
             );
             Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         }
@@ -2159,7 +2159,7 @@ mod tests {
             5555,
             1000,
             TcpFlags::ACK,
-            &vec![0xEF; 80],
+            &[0xEF; 80],
         );
         Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         // Mid-hold (well before the 2 ms flush deadline): the session

@@ -635,3 +635,216 @@ fn endpoint_lowering_accepts_own_frames_and_rejects_variants() {
         }
     });
 }
+
+// ---------------------------------------------------------------------
+// Dense CSPF plan ≡ interpreter table
+// ---------------------------------------------------------------------
+
+/// Byte offset and mask of each word the connected session filter
+/// reads, in program order. A wildcard filter reads the first seven.
+const SHAPE_WORDS: [(usize, u16); 10] = [
+    (12, 0xFFFF),
+    (14, 0xFF00),
+    (20, 0x3FFF),
+    (22, 0x00FF),
+    (30, 0xFFFF),
+    (32, 0xFFFF),
+    (36, 0xFFFF),
+    (26, 0xFFFF),
+    (28, 0xFFFF),
+    (34, 0xFFFF),
+];
+
+/// How one session filter's run ended, by shape index.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum RowEnd {
+    Accept,
+    CompareFail(usize),
+    OutOfBounds(usize),
+}
+
+/// The interpreter's `steps` when a session filter stops at each shape
+/// index: `(out of bounds, failed compare)` per index, from the group
+/// boundaries of the connected program. An out-of-bounds read stops
+/// one instruction into a group, a failed compare at the group's end.
+fn shape_stop_steps() -> Vec<(usize, usize)> {
+    let widest = compile_endpoint(&EndpointSpec::connected(
+        IpProto::Udp,
+        HOST_IP,
+        1,
+        HOST_IP,
+        1,
+    ));
+    let at = |want: fn(&Insn) -> bool| -> Vec<usize> {
+        (0..widest.insns.len())
+            .filter(|&i| want(&widest.insns[i]))
+            .collect()
+    };
+    let starts = at(|i| matches!(i, Insn::PushWord(_)));
+    let ends = at(|i| matches!(i, Insn::CombineAnd(_)));
+    starts
+        .iter()
+        .zip(&ends)
+        .map(|(s, e)| (s + 1, e + 1))
+        .collect()
+}
+
+/// Maps an interpreter outcome of a session filter back to the shape
+/// index it stopped at.
+fn row_end(stops: &[(usize, usize)], out: &psd::filter::FilterOutcome) -> RowEnd {
+    let index = |pick: fn(&(usize, usize)) -> usize| {
+        stops
+            .iter()
+            .position(|s| pick(s) == out.steps)
+            .expect("session filters stop at a group boundary")
+    };
+    match out.error {
+        _ if out.accepted => RowEnd::Accept,
+        Some(VmError::OutOfBounds) => RowEnd::OutOfBounds(index(|s| s.0)),
+        None => RowEnd::CompareFail(index(|s| s.1)),
+        Some(e) => panic!("session filter ended with {e:?}"),
+    }
+}
+
+/// A spec for a table of about `n` filters: TCP and UDP interleaved,
+/// wildcards and connected sessions mixed, over a port range narrow
+/// enough that duplicates and connected/wildcard overlaps occur.
+fn rand_table_spec(rng: &mut Rng, n: usize) -> EndpointSpec {
+    let proto = if rng.chance(0.3) {
+        IpProto::Tcp
+    } else {
+        IpProto::Udp
+    };
+    let lport = rng.range(1000, 1000 + (n as u64 / 4).max(4)) as u16;
+    if rng.chance(0.4) {
+        EndpointSpec::connected(
+            proto,
+            HOST_IP,
+            lport,
+            Ipv4Addr::new(10, 0, 0, rng.range(1, 4) as u8),
+            rng.range(2000, 2007) as u16,
+        )
+    } else {
+        EndpointSpec::unconnected(proto, HOST_IP, lport)
+    }
+}
+
+/// The CSPF table on the default (compiled, dense-plan) engine
+/// classifies exactly like a table running the interpreter — same
+/// owner, same charged steps — at N ∈ {1, 64, 4096} live filters grown
+/// through install/remove churn (free-slot reuse, duplicate specs,
+/// mixed specificities, TCP/UDP interleaving).
+///
+/// The frames are a matching frame for every live filter, matching
+/// frames truncated at every length 0..=42, matching frames with each
+/// shape word flipped under its mask, and the adversarial corpus. At
+/// N = 4096 the truncation and flip sweeps cover a seeded sample of 32
+/// live filters, which keeps the interpreter side of the test in
+/// seconds; the smaller tables sweep every filter.
+///
+/// The vacuity guard replays the scan filter by filter on the
+/// interpreter for the smaller tables and requires an accept, a failed
+/// compare at each of the ten shape indices, and an out-of-bounds read
+/// at each of the first seven. Words 7–9 (source address and port) lie
+/// inside bytes 0..38, which word 6 (the destination port) has already
+/// read, so no frame can run out of bounds there.
+#[test]
+fn cspf_plan_matches_interpreter_table_under_churn() {
+    let stops = shape_stop_steps();
+    assert_eq!(stops.len(), SHAPE_WORDS.len());
+    let mut seen = std::collections::HashSet::new();
+    for n in [1usize, 64, 4096] {
+        cases(0xf11e_9a00 + n as u64, 1, |rng| {
+            let mut plan: DemuxTable<usize> = DemuxTable::new(DemuxStrategy::Cspf);
+            let mut interp: DemuxTable<usize> =
+                DemuxTable::with_engine(DemuxStrategy::Cspf, FilterEngine::Interpret);
+            assert_eq!(plan.engine(), FilterEngine::Compiled, "default engine");
+            let mut live: Vec<(FilterId, EndpointSpec)> = Vec::new();
+            let mut owner = 0usize;
+            let mut removed = 0usize;
+            while live.len() < n {
+                if !live.is_empty() && rng.chance(0.25) {
+                    let (id, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    assert!(plan.remove(id) && interp.remove(id));
+                    removed += 1;
+                    continue;
+                }
+                let spec = if !live.is_empty() && rng.chance(0.1) {
+                    live[rng.below(live.len() as u64) as usize].1
+                } else {
+                    rand_table_spec(rng, n)
+                };
+                let id = plan.install(spec, owner);
+                assert_eq!(interp.install(spec, owner), id);
+                live.push((id, spec));
+                owner += 1;
+            }
+            assert!(n == 1 || removed > 0, "churn never removed");
+            assert_eq!(plan.len(), n);
+            assert_eq!(plan.compiled_artifacts(), plan.len());
+
+            let swept: Vec<EndpointSpec> = if n > 64 {
+                (0..32)
+                    .map(|_| live[rng.below(live.len() as u64) as usize].1)
+                    .collect()
+            } else {
+                live.iter().map(|(_, s)| *s).collect()
+            };
+            let mut frames: Vec<Vec<u8>> = live.iter().map(|(_, s)| matching_frame(s)).collect();
+            for spec in &swept {
+                let good = matching_frame(spec);
+                frames.extend((0..=42).map(|len| good[..len.min(good.len())].to_vec()));
+                for (i, &(off, mask)) in SHAPE_WORDS.iter().enumerate() {
+                    let mut f = good.clone();
+                    let bit = 1u16 << (i % 16);
+                    let flip = if mask & bit != 0 {
+                        bit
+                    } else {
+                        mask & mask.wrapping_neg()
+                    };
+                    f[off] ^= (flip >> 8) as u8;
+                    f[off + 1] ^= flip as u8;
+                    frames.push(f);
+                }
+            }
+            frames.extend((0..64).map(|_| rand_adversarial_frame(rng)));
+
+            let mut order = live.clone();
+            order.sort_by_key(|(id, s)| (std::cmp::Reverse(s.specificity()), id.0));
+            let programs: Vec<Program> = order.iter().map(|(_, s)| compile_endpoint(s)).collect();
+            for frame in &frames {
+                let a = interp.classify(frame);
+                let b = plan.classify(frame);
+                assert_eq!(
+                    (a.owner, a.steps),
+                    (b.owner, b.steps),
+                    "N={n}: plan diverges from the interpreter on {frame:02x?}"
+                );
+                if n > 64 {
+                    continue;
+                }
+                // Replay the scan in CSPF order on the interpreter.
+                for program in &programs {
+                    let end = row_end(&stops, &program.run(frame));
+                    seen.insert(end);
+                    if end == RowEnd::Accept {
+                        break;
+                    }
+                }
+            }
+        });
+    }
+    assert!(seen.contains(&RowEnd::Accept), "no row ever accepted");
+    for i in 0..10 {
+        assert!(
+            seen.contains(&RowEnd::CompareFail(i)),
+            "no failed compare at shape index {i}"
+        );
+    }
+    for i in 0..7 {
+        assert!(
+            seen.contains(&RowEnd::OutOfBounds(i)),
+            "no out-of-bounds read at shape index {i}"
+        );
+    }
+}
