@@ -12,11 +12,15 @@
 //! `--trace-out` writes a Chrome trace-event JSON covering every
 //! column's run (one trace process per column); `--census-json` writes
 //! the census snapshots as JSON. Neither flag changes the table.
+//!
+//! The per-layer figures are the charged-time profiler's per-layer
+//! projection over the measured rounds, with the wire's transit time as
+//! the network-transit row.
 
 use psd_bench::tables::{table4, Table4Column};
 use psd_bench::{protolat, ApiStyle};
 use psd_server::Proto;
-use psd_sim::{Layer, Platform};
+use psd_sim::{Layer, Platform, SimTime};
 use psd_systems::{SystemConfig, TestBed};
 
 fn config_for(system: &str) -> SystemConfig {
@@ -87,13 +91,15 @@ fn run_column(
     let mut bed = TestBed::new(config, Platform::DecStation5000_200, 7);
     let censuses = (want_census || census_sink.is_some()).then(|| bed.attach_census());
     let tracer = trace_sink.is_some().then(|| bed.attach_tracer());
+    bed.attach_profilers();
     let result = protolat(&mut bed, proto, col.size, 25, rounds, ApiStyle::Classic);
+    let layer_ns = result.layer_ns.expect("profilers attached");
 
     // Each round trip contains one message each way: per-message layer
     // time = total / (2 × rounds). (TCP also carries ACK segments; the
     // paper notes its numbers "only approximate the critical path".)
     let per_msg = |layer: Layer| -> f64 {
-        let total = result.probe.borrow().layer(layer).total;
+        let total = SimTime::from_nanos(layer_ns[layer.index()]);
         total.as_micros_f64() / (2.0 * f64::from(rounds))
     };
 

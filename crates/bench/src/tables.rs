@@ -179,8 +179,9 @@ pub fn table3_decstation() -> Vec<Table2Row> {
     ]
 }
 
-/// One column of Table 4 (µs per layer). Layers in
-/// [`psd_sim::Layer::TABLE4_ORDER`] order.
+/// One column of Table 4 (µs per layer), rows in the paper's order:
+/// the [`psd_sim::Layer`] variants from `EntryCopyin` through
+/// `NetworkTransit`, in declaration order.
 #[derive(Clone, Copy, Debug)]
 pub struct Table4Column {
     /// "Library" / "Kernel" / "Server".

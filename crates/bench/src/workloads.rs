@@ -4,9 +4,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use psd_core::{AppHandle, AppLib, Fd};
+use psd_netdev::EthernetHandle;
 use psd_netstack::{InetAddr, SockEvent, SocketError};
 use psd_server::Proto;
-use psd_sim::{LatencyProbe, ProbeHandle, SimTime};
+use psd_sim::{Cpu, Layer, SimTime};
 use psd_systems::TestBed;
 
 /// Which socket interface the workload uses.
@@ -244,9 +245,45 @@ pub struct ProtolatResult {
     pub rounds: u32,
     /// Mean round-trip latency.
     pub rtt: SimTime,
-    /// The per-layer latency probe covering the measured rounds (both
-    /// directions; divide by `2 × rounds` for per-message figures).
-    pub probe: ProbeHandle,
+    /// Charged nanoseconds per layer (indexed by [`Layer::index`]) over
+    /// the measured rounds, both directions: divide by `2 × rounds` for
+    /// per-message figures. Read from the profilers attached to the
+    /// bed's CPUs plus the wire's transit time; `None` when no profiler
+    /// is attached.
+    pub layer_ns: Option<[u64; Layer::COUNT]>,
+}
+
+/// Reads a bed's per-layer charged time: the profilers attached to its
+/// CPUs, plus the wire's transit time as the network-transit row.
+struct LayerMeter {
+    cpus: Vec<Rc<RefCell<Cpu>>>,
+    ether: EthernetHandle,
+}
+
+impl LayerMeter {
+    fn new(bed: &TestBed) -> LayerMeter {
+        LayerMeter {
+            cpus: bed.hosts.iter().map(|h| h.cpu.clone()).collect(),
+            ether: bed.ether.clone(),
+        }
+    }
+
+    /// Charged nanoseconds per layer so far; `None` when no profiler is
+    /// attached.
+    fn read(&self) -> Option<[u64; Layer::COUNT]> {
+        let mut sum = [0; Layer::COUNT];
+        let mut profiled = false;
+        for cpu in &self.cpus {
+            if let Some(prof) = cpu.borrow().profiler() {
+                profiled = true;
+                for (s, ns) in sum.iter_mut().zip(prof.borrow().layer_ns()) {
+                    *s += ns;
+                }
+            }
+        }
+        sum[Layer::NetworkTransit.index()] += self.ether.borrow().stats().transit.as_nanos();
+        profiled.then_some(sum)
+    }
 }
 
 const LAT_PORT: u16 = 6001;
@@ -262,7 +299,9 @@ struct PingState {
     end: Option<SimTime>,
     api: ApiStyle,
     proto: Proto,
-    probe: Option<ProbeHandle>,
+    meter: LayerMeter,
+    /// The meter's reading when measurement began.
+    window_start: Option<[u64; Layer::COUNT]>,
 }
 
 fn ping_send(app: &AppHandle, sim: &mut psd_sim::Sim, st: &Rc<RefCell<PingState>>) {
@@ -336,9 +375,7 @@ fn ping_recv(app: &AppHandle, sim: &mut psd_sim::Sim, st: &Rc<RefCell<PingState>
         s.collected += 1;
         if s.collected == s.warmup {
             s.start = Some(sim.now());
-            if let Some(p) = &s.probe {
-                p.borrow_mut().set_enabled(true);
-            }
+            s.window_start = s.meter.read();
         }
         if s.rounds_left > 0 {
             s.rounds_left -= 1;
@@ -486,15 +523,6 @@ pub fn protolat(
         }
     }
 
-    // Probe covering the measured rounds only (enabled when warmup
-    // completes).
-    let probe = LatencyProbe::shared();
-    probe.borrow_mut().set_enabled(false);
-    for host in &bed.hosts {
-        host.cpu.borrow_mut().set_probe(Some(probe.clone()));
-    }
-    bed.ether.borrow_mut().set_probe(Some(probe.clone()));
-
     // Client.
     let cfd = AppLib::socket(&client_app, &mut bed.sim, proto);
     let ping = Rc::new(RefCell::new(PingState {
@@ -508,7 +536,8 @@ pub fn protolat(
         end: None,
         api,
         proto,
-        probe: Some(probe.clone()),
+        meter: LayerMeter::new(bed),
+        window_start: None,
     }));
     {
         let app = client_app.clone();
@@ -523,9 +552,7 @@ pub fn protolat(
                             // No warmup: measurement starts with the
                             // first message.
                             s.start = Some(sim.now());
-                            if let Some(p) = &s.probe {
-                                p.borrow_mut().set_enabled(true);
-                            }
+                            s.window_start = s.meter.read();
                         }
                     }
                     ping_send(&app, sim, &st);
@@ -551,17 +578,16 @@ pub fn protolat(
             ping.borrow().collected
         );
     }
-    let (start, end) = {
-        let p = ping.borrow();
-        (
-            p.start.expect("warmup completed"),
-            p.end.expect("loop exited"),
-        )
-    };
-    probe.borrow_mut().set_enabled(false);
+    let p = ping.borrow();
+    let start = p.start.expect("warmup completed");
+    let end = p.end.expect("loop exited");
+    let layer_ns = p
+        .window_start
+        .zip(p.meter.read())
+        .map(|(before, after)| std::array::from_fn(|i| after[i] - before[i]));
     ProtolatResult {
         rounds,
         rtt: (end - start) / u64::from(rounds),
-        probe,
+        layer_ns,
     }
 }

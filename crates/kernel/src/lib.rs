@@ -24,8 +24,8 @@
 //!   path the server-based configuration pays on every send and receive.
 //!
 //! Every boundary crossing and copy is charged to the host CPU through
-//! the calibrated [`CostModel`]; the crossings are recorded on the
-//! latency probe so Table 4's asterisks can be regenerated.
+//! the calibrated [`CostModel`]; the crossings are counted on the
+//! operation census so Table 4's asterisks can be regenerated.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -1453,8 +1453,8 @@ pub fn note_thread_busy(kernel: &KernelHandle, id: EndpointId, until: SimTime) {
 /// RPC machinery.
 pub fn rpc_data_charge(costs: &CostModel, charge: &mut Charge, layer: Layer, data_len: usize) {
     // One RPC = two boundary crossings on the census (request into the
-    // server, reply back to the caller); the probe keeps its single
-    // Table 4 asterisk per charged crossing.
+    // server, reply back to the caller); only the request is priced,
+    // once, as Table 4's single asterisk.
     charge.crossing_in(Domain::Server, layer, SimTime::from_nanos(costs.trap));
     charge.note(OpKind::BoundaryCrossing, Domain::Library, layer);
     charge.add_ns(layer, costs.rpc_base);
@@ -1483,11 +1483,33 @@ mod tests {
 
     /// Captured `(delivery time, frame)` log shared with a sink.
     type DeliveryLog = Rc<RefCell<Vec<(SimTime, Vec<u8>)>>>;
+    use psd_sim::{Census, CensusHandle, ProfileHandle, Profiler};
     use psd_wire::{EtherType, EthernetHeader, IpProto, Ipv4Header, UdpHeader, UDP_HDR_LEN};
     use std::net::Ipv4Addr;
 
     const A_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+
+    /// Attaches a profiler (time per layer) and a census (crossings per
+    /// layer) to `cpu`.
+    fn observe(cpu: &RefCell<Cpu>) -> (ProfileHandle, CensusHandle) {
+        let prof = Profiler::shared();
+        let census = Census::shared();
+        let mut cpu = cpu.borrow_mut();
+        cpu.set_profiler(Some(prof.clone()));
+        cpu.set_census(Some(census.clone()));
+        (prof, census)
+    }
+
+    /// Time the profiler attributed to `layer`.
+    fn layer_time(prof: &ProfileHandle, layer: Layer) -> SimTime {
+        SimTime::from_nanos(prof.borrow().layer_ns()[layer.index()])
+    }
+
+    /// Boundary crossings the census counted in `layer`.
+    fn crossings(census: &CensusHandle, layer: Layer) -> u64 {
+        census.borrow().layer_total(OpKind::BoundaryCrossing, layer)
+    }
 
     fn udp_frame(dst_mac: EtherAddr, dst: (Ipv4Addr, u16), payload_len: usize) -> Vec<u8> {
         let ip = Ipv4Header::new(A_IP, dst.0, IpProto::Udp, UDP_HDR_LEN + payload_len);
@@ -1694,14 +1716,8 @@ mod tests {
         // With an IPF endpoint installed, DeviceIntrRead must be flat
         // (no per-byte device read at interrupt time); the body copy is
         // charged to KernelCopyout instead.
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
-        r.kernel
-            .borrow()
-            .cpu()
-            .borrow_mut()
-            .set_probe(Some(probe.clone()));
+        let (prof, _) = observe(&r.kernel.borrow().cpu());
         let (sink, _log) = collect_sink();
         {
             let mut k = r.kernel.borrow_mut();
@@ -1712,9 +1728,8 @@ mod tests {
         let f = udp_frame(EtherAddr::local(2), (B_IP, 7), 1400);
         Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         r.sim.run_to_idle();
-        let p = probe.borrow();
-        let intr = p.layer(Layer::DeviceIntrRead).total;
-        let copyout = p.layer(Layer::KernelCopyout).total;
+        let intr = layer_time(&prof, Layer::DeviceIntrRead);
+        let copyout = layer_time(&prof, Layer::KernelCopyout);
         let costs = CostModel::decstation_5000_200();
         assert!(
             intr < SimTime::from_nanos(costs.intr_dispatch + 20_000),
@@ -1728,11 +1743,9 @@ mod tests {
 
     #[test]
     fn send_from_user_charges_trap_and_copies() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
         let cpu = r.kernel.borrow().cpu();
-        cpu.borrow_mut().set_probe(Some(probe.clone()));
+        let (prof, census) = observe(&cpu);
         let frame = udp_frame(EtherAddr::local(9), (B_IP, 7), 100);
         let flen = frame.len();
         let mut charge = cpu.borrow_mut().begin(r.sim.now());
@@ -1741,23 +1754,20 @@ mod tests {
         r.sim.run_to_idle();
         let costs = CostModel::decstation_5000_200();
         let expect = costs.trap + (costs.kcopy_byte + costs.dev_write_byte) * flen as u64;
-        let p = probe.borrow();
         assert_eq!(
-            p.layer(Layer::EtherOutput).total,
+            layer_time(&prof, Layer::EtherOutput),
             SimTime::from_nanos(expect)
         );
-        assert_eq!(p.layer(Layer::EtherOutput).crossings, 1);
+        assert_eq!(crossings(&census, Layer::EtherOutput), 1);
         assert_eq!(r.kernel.borrow().stats().tx_user, 1);
         assert_eq!(r.ether.borrow().stats().tx_frames, 1);
     }
 
     #[test]
     fn send_from_kernel_skips_trap() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
         let cpu = r.kernel.borrow().cpu();
-        cpu.borrow_mut().set_probe(Some(probe.clone()));
+        let (prof, census) = observe(&cpu);
         let frame = udp_frame(EtherAddr::local(9), (B_IP, 7), 100);
         let flen = frame.len();
         let mut charge = cpu.borrow_mut().begin(r.sim.now());
@@ -1765,12 +1775,11 @@ mod tests {
         cpu.borrow_mut().finish(charge);
         r.sim.run_to_idle();
         let costs = CostModel::decstation_5000_200();
-        let p = probe.borrow();
         assert_eq!(
-            p.layer(Layer::EtherOutput).total,
+            layer_time(&prof, Layer::EtherOutput),
             SimTime::from_nanos(costs.dev_write_byte * flen as u64)
         );
-        assert_eq!(p.layer(Layer::EtherOutput).crossings, 0);
+        assert_eq!(crossings(&census, Layer::EtherOutput), 0);
     }
 
     #[test]
@@ -1882,20 +1891,26 @@ mod tests {
 
     #[test]
     fn rpc_charges_four_copies() {
-        use psd_sim::LatencyProbe;
-        let probe = LatencyProbe::shared();
-        let mut cpu = Cpu::new();
-        cpu.set_probe(Some(probe.clone()));
+        let cpu = RefCell::new(Cpu::new());
+        let (prof, census) = observe(&cpu);
         let costs = CostModel::decstation_5000_200();
-        let mut charge = cpu.begin(SimTime::ZERO);
+        let mut charge = cpu.borrow_mut().begin(SimTime::ZERO);
         rpc_data_charge(&costs, &mut charge, Layer::EntryCopyin, 1000);
-        cpu.finish(charge);
+        cpu.borrow_mut().finish(charge);
         let expect = costs.trap + costs.rpc_base + 3 * costs.ipc_copy_byte * 1000;
         assert_eq!(
-            probe.borrow().layer(Layer::EntryCopyin).total,
+            layer_time(&prof, Layer::EntryCopyin),
             SimTime::from_nanos(expect)
         );
-        assert_eq!(probe.borrow().layer(Layer::EntryCopyin).crossings, 1);
+        // One priced crossing (into the server); the census also counts
+        // the reply back to the library.
+        assert_eq!(
+            census
+                .borrow()
+                .count(OpKind::BoundaryCrossing, Domain::Server, Layer::EntryCopyin),
+            1
+        );
+        assert_eq!(crossings(&census, Layer::EntryCopyin), 2);
     }
 
     // --- Batched NEWAPI (ISSUE 9) ---
@@ -1935,14 +1950,8 @@ mod tests {
 
     #[test]
     fn batch_window_amortizes_ipc_crossings() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
-        r.kernel
-            .borrow()
-            .cpu()
-            .borrow_mut()
-            .set_probe(Some(probe.clone()));
+        let (_, census) = observe(&r.kernel.borrow().cpu());
         let (sink, log) = collect_sink();
         {
             let mut k = r.kernel.borrow_mut();
@@ -1963,7 +1972,7 @@ mod tests {
         // Every frame is delivered, but only the first of each window of
         // four pays the IPC crossing and wakeup.
         assert_eq!(log.borrow().len(), 8);
-        assert_eq!(probe.borrow().layer(Layer::KernelCopyout).crossings, 2);
+        assert_eq!(crossings(&census, Layer::KernelCopyout), 2);
         let stats = r.kernel.borrow().stats();
         assert_eq!(stats.rx_delivery_crossings, 2);
         assert_eq!(stats.rx_session_crossings, 2);
@@ -1971,14 +1980,8 @@ mod tests {
 
     #[test]
     fn unbatched_config_pays_every_crossing() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
-        r.kernel
-            .borrow()
-            .cpu()
-            .borrow_mut()
-            .set_probe(Some(probe.clone()));
+        let (_, census) = observe(&r.kernel.borrow().cpu());
         let (sink, log) = collect_sink();
         {
             let mut k = r.kernel.borrow_mut();
@@ -1992,7 +1995,7 @@ mod tests {
         }
         r.sim.run_to_idle();
         assert_eq!(log.borrow().len(), 5);
-        assert_eq!(probe.borrow().layer(Layer::KernelCopyout).crossings, 5);
+        assert_eq!(crossings(&census, Layer::KernelCopyout), 5);
         assert_eq!(r.kernel.borrow().stats().rx_delivery_crossings, 5);
     }
 
@@ -2103,14 +2106,8 @@ mod tests {
 
     #[test]
     fn header_only_delivery_copies_headers_not_bodies() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
-        r.kernel
-            .borrow()
-            .cpu()
-            .borrow_mut()
-            .set_probe(Some(probe.clone()));
+        let (prof, _) = observe(&r.kernel.borrow().cpu());
         let (sink, log) = collect_sink();
         {
             let mut k = r.kernel.borrow_mut();
@@ -2130,7 +2127,7 @@ mod tests {
         let costs = CostModel::decstation_5000_200();
         // Only eth+ip+udp headers (42 bytes) crossed into the ring; a
         // full-body copy would be ~1400 bytes of kcopy.
-        let copyout = probe.borrow().layer(Layer::KernelCopyout).total;
+        let copyout = layer_time(&prof, Layer::KernelCopyout);
         assert!(
             copyout
                 < SimTime::from_nanos(

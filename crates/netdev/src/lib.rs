@@ -20,9 +20,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use psd_sim::probe::ProbeHandle;
 use psd_sim::{
-    DropCounters, DropReason, FaultPlaneHandle, FaultSite, Layer, Sim, SimTime, Stage, Terminal,
+    DropCounters, DropReason, FaultPlaneHandle, FaultSite, Sim, SimTime, Stage, Terminal,
     TraceHandle, TraceId,
 };
 use psd_wire::{EtherAddr, EthernetHeader};
@@ -96,6 +95,10 @@ pub struct EtherStats {
     pub reordered: u64,
     /// Frames delivered to stations (one per receiving station).
     pub delivered: u64,
+    /// Wire time of every frame handed to the medium: serialization
+    /// plus propagation, counted before any fault drop (the sender pays
+    /// it either way). Table 4's network-transit row.
+    pub transit: SimTime,
 }
 
 /// An optional capture of frames for tests and debugging.
@@ -119,7 +122,6 @@ pub struct Ethernet {
     /// Always-on per-reason drop counters: every frame the medium kills
     /// lands here with a typed reason, tracer attached or not.
     drops: DropCounters,
-    probe: Option<ProbeHandle>,
     trace: Option<Rc<RefCell<FrameTrace>>>,
     /// Fault plane consulted per transmitted frame: [`FaultSite::LinkDown`]
     /// (flap / partition windows), [`FaultSite::WireBurstLoss`] (an
@@ -154,7 +156,6 @@ impl Ethernet {
             busy_until: SimTime::ZERO,
             stats: EtherStats::default(),
             drops: DropCounters::default(),
-            probe: None,
             trace: None,
             fault: None,
             burst_remaining: 0,
@@ -170,11 +171,6 @@ impl Ethernet {
     /// Attaches a station.
     pub fn attach(&mut self, station: Rc<RefCell<dyn Station>>) {
         self.stations.push(station);
-    }
-
-    /// Attaches a latency probe recording network transit time.
-    pub fn set_probe(&mut self, probe: Option<ProbeHandle>) {
-        self.probe = probe;
     }
 
     /// Attaches a frame trace.
@@ -292,10 +288,7 @@ impl Ethernet {
         let duration = seg.timing.frame_time(frame.len());
         seg.busy_until = start + duration;
         let arrival = start + duration + seg.propagation;
-        if let Some(p) = &seg.probe {
-            p.borrow_mut()
-                .record(Layer::NetworkTransit, duration + seg.propagation);
-        }
+        seg.stats.transit += arrival - start;
         // Provenance: the wire frame gets its own trace id and a wire
         // span; every loss below is a typed terminal state.
         let wire_tid = seg.tracer.as_ref().map(|t| {
@@ -738,6 +731,38 @@ mod tests {
         }
         assert_eq!(b.borrow().received.len(), 3);
         assert_eq!(seg.borrow().drops().get(DropReason::LinkDown), 2);
+    }
+
+    #[test]
+    fn transit_counts_every_frame_including_drops() {
+        let mut sim = Sim::new(4);
+        let seg = Ethernet::new(EtherTiming::ten_megabit());
+        let prop = SimTime::from_micros(3);
+        seg.borrow_mut().set_propagation(prop);
+        let plane = psd_sim::FaultPlane::shared();
+        // Frame 0 is lost on the wire, frame 1 hits a down link, and
+        // frame 2 starts a scripted burst.
+        plane.borrow_mut().script(FaultSite::WireLoss, &[0]);
+        plane.borrow_mut().script_range(FaultSite::LinkDown, 1, 2);
+        seg.borrow_mut().set_fault_plane(Some(plane));
+        let b = TestStation::new(2);
+        seg.borrow_mut().attach(b.clone());
+        let timing = seg.borrow().timing();
+        let mut expect = SimTime::ZERO;
+        for (i, payload) in [1usize, 46, 400, 1500, 10].into_iter().enumerate() {
+            if i == 2 {
+                seg.borrow_mut().drop_next_frames(1);
+            }
+            let f = frame(1, EtherAddr::local(2), payload);
+            expect += timing.frame_time(f.len()) + prop;
+            let now = sim.now();
+            Ethernet::transmit(&seg, &mut sim, now, f);
+            sim.run_to_idle();
+        }
+        let stats = seg.borrow().stats();
+        assert_eq!(stats.dropped, 3);
+        assert_eq!(b.borrow().received.len(), 2);
+        assert_eq!(stats.transit, expect);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! and TCP all run for real over it.
 
 use super::*;
-use psd_sim::LatencyProbe;
+use psd_sim::Profiler;
 
 const HOST_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const HOST_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -582,15 +582,17 @@ fn library_placement_uses_arp_resolver_upcall() {
 #[test]
 fn probe_attributes_layers_on_both_paths() {
     let mut r = Rig::new(Placement::Server);
-    let probe = LatencyProbe::shared();
+    // One profiler on both hosts: the send path charges A, the receive
+    // path B.
+    let prof = Profiler::shared();
     r.a.borrow()
         .cpu()
         .borrow_mut()
-        .set_probe(Some(probe.clone()));
+        .set_profiler(Some(prof.clone()));
     r.b.borrow()
         .cpu()
         .borrow_mut()
-        .set_probe(Some(probe.clone()));
+        .set_profiler(Some(prof.clone()));
     let a = r.a.clone();
     let b = r.b.clone();
     let sa = a.borrow_mut().socket_udp();
@@ -609,7 +611,7 @@ fn probe_attributes_layers_on_both_paths() {
         let mut buf = [0u8; 128];
         s.udp_recv(sim, ch, sb, &mut buf).map(|x| x.0).unwrap_or(0)
     });
-    let p = probe.borrow();
+    let ns = prof.borrow().layer_ns();
     for layer in [
         Layer::EntryCopyin,
         Layer::TcpUdpOutput,
@@ -620,10 +622,7 @@ fn probe_attributes_layers_on_both_paths() {
         Layer::WakeupUserThread,
         Layer::CopyoutExit,
     ] {
-        assert!(
-            p.layer(layer).total > SimTime::ZERO,
-            "layer {layer} unattributed"
-        );
+        assert!(ns[layer.index()] > 0, "layer {layer} unattributed");
     }
 }
 

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::probe::Layer;
+use crate::layer::Layer;
 use crate::trace::DropReason;
 
 /// The kinds of operations the census distinguishes.
@@ -156,7 +156,7 @@ pub struct Census {
 }
 
 /// Shared handle to a census, stored by every component that counts
-/// operations (mirrors [`ProbeHandle`](crate::probe::ProbeHandle)).
+/// operations.
 pub type CensusHandle = Rc<RefCell<Census>>;
 
 impl Census {

@@ -13,9 +13,9 @@
 //! effect that separates the server-based configuration from the others
 //! in Table 2.
 //!
-//! Five observability planes can attach to a CPU — latency probe,
-//! operation census, fault plane, packet tracer, and charged-time
-//! profiler. All are charged-time-neutral. Their dispatch is flattened
+//! Four observability planes can attach to a CPU — operation census,
+//! fault plane, packet tracer, and charged-time profiler. All are
+//! charged-time-neutral. Their dispatch is flattened
 //! into a single packed bitmask recomputed at attach time and copied
 //! into each [`Charge`]: the hot methods test one byte and fall through
 //! in the (default) all-detached case, instead of walking a chain of
@@ -23,7 +23,7 @@
 
 use crate::census::{CensusHandle, Domain, OpKind};
 use crate::fault::{FaultPlaneHandle, FaultSite};
-use crate::probe::{Layer, ProbeHandle};
+use crate::layer::Layer;
 use crate::profile::{ProfEntry, ProfileHandle, NO_PACKET, ROOT_SITE};
 use crate::time::SimTime;
 use crate::trace::{DropReason, Stage, Terminal, TraceHandle};
@@ -31,18 +31,16 @@ use crate::trace::{DropReason, Stage, Terminal, TraceHandle};
 // The packed dispatch mask: one bit per attachable plane. `Cpu`
 // recomputes it on every attach/detach; `begin` copies it into the
 // `Charge` so the hot methods test a single register.
-const M_PROBE: u8 = 1 << 0;
-const M_CENSUS: u8 = 1 << 1;
-const M_FAULT: u8 = 1 << 2;
-const M_TRACE: u8 = 1 << 3;
-const M_PROFILE: u8 = 1 << 4;
+const M_CENSUS: u8 = 1 << 0;
+const M_FAULT: u8 = 1 << 1;
+const M_TRACE: u8 = 1 << 2;
+const M_PROFILE: u8 = 1 << 3;
 
 /// A serializing processor resource.
 #[derive(Debug, Default)]
 pub struct Cpu {
     busy_until: SimTime,
     total_busy: SimTime,
-    probe: Option<ProbeHandle>,
     census: Option<CensusHandle>,
     fault: Option<FaultPlaneHandle>,
     trace: Option<TraceHandle>,
@@ -64,23 +62,10 @@ impl Cpu {
                 0
             }
         }
-        self.mask = bit(self.probe.is_some(), M_PROBE)
-            | bit(self.census.is_some(), M_CENSUS)
+        self.mask = bit(self.census.is_some(), M_CENSUS)
             | bit(self.fault.is_some(), M_FAULT)
             | bit(self.trace.is_some(), M_TRACE)
             | bit(self.profile.is_some(), M_PROFILE);
-    }
-
-    /// Attaches (or detaches) a latency probe; charges are attributed to
-    /// it by layer.
-    pub fn set_probe(&mut self, probe: Option<ProbeHandle>) {
-        self.probe = probe;
-        self.recompute_mask();
-    }
-
-    /// Returns the attached probe, if any.
-    pub fn probe(&self) -> Option<&ProbeHandle> {
-        self.probe.as_ref()
     }
 
     /// Attaches (or detaches) an operation census; counted operations on
@@ -160,7 +145,6 @@ impl Cpu {
             start: now.max(self.busy_until),
             cursor: now.max(self.busy_until),
             mask: self.mask,
-            probe: self.probe.clone(),
             census: self.census.clone(),
             fault: self.fault.clone(),
             trace: self.trace.clone(),
@@ -199,7 +183,6 @@ pub struct Charge {
     start: SimTime,
     cursor: SimTime,
     mask: u8,
-    probe: Option<ProbeHandle>,
     census: Option<CensusHandle>,
     fault: Option<FaultPlaneHandle>,
     trace: Option<TraceHandle>,
@@ -211,23 +194,6 @@ pub struct Charge {
 }
 
 impl Charge {
-    /// Creates a detached cursor (not bound to a CPU) starting at `now`.
-    /// Used for wire-time accounting.
-    pub fn detached(now: SimTime, probe: Option<ProbeHandle>) -> Charge {
-        Charge {
-            start: now,
-            cursor: now,
-            mask: (probe.is_some() as u8) * M_PROBE,
-            probe,
-            census: None,
-            fault: None,
-            trace: None,
-            profile: None,
-            site: ROOT_SITE,
-            prof_buf: Vec::new(),
-        }
-    }
-
     /// The instant this path started executing.
     pub fn start(&self) -> SimTime {
         self.start
@@ -247,40 +213,35 @@ impl Charge {
     #[inline]
     pub fn add(&mut self, layer: Layer, cost: SimTime) {
         self.cursor += cost;
-        if self.mask & (M_PROBE | M_PROFILE) != 0 {
-            self.add_observed(layer, cost);
+        if self.mask & M_PROFILE != 0 {
+            self.add_profiled(layer, cost);
         }
     }
 
-    /// The observed-run half of [`Charge::add`], kept out of the
-    /// all-planes-detached fast path.
+    /// The profiled-run half of [`Charge::add`], kept out of the
+    /// unprofiled fast path.
     #[cold]
-    fn add_observed(&mut self, layer: Layer, cost: SimTime) {
-        if let Some(p) = &self.probe {
-            p.borrow_mut().record(layer, cost);
-        }
-        if self.mask & M_PROFILE != 0 {
-            let tid = match &self.trace {
-                Some(t) => t.borrow().current().map(|id| id.0).unwrap_or(NO_PACKET),
-                None => NO_PACKET,
-            };
-            let layer = layer.index() as u8;
-            // Coalesce runs of adds at the same (site, layer, packet):
-            // typical paths charge the same bucket several times in a
-            // row, and one merged entry keeps the buffer tiny.
-            if let Some(last) = self.prof_buf.last_mut() {
-                if last.node == self.site && last.layer == layer && last.tid == tid {
-                    last.ns += cost.as_nanos();
-                    return;
-                }
+    fn add_profiled(&mut self, layer: Layer, cost: SimTime) {
+        let tid = match &self.trace {
+            Some(t) => t.borrow().current().map(|id| id.0).unwrap_or(NO_PACKET),
+            None => NO_PACKET,
+        };
+        let layer = layer as u8;
+        // Coalesce runs of adds at the same (site, layer, packet):
+        // typical paths charge the same bucket several times in a
+        // row, and one merged entry keeps the buffer tiny.
+        if let Some(last) = self.prof_buf.last_mut() {
+            if last.node == self.site && last.layer == layer && last.tid == tid {
+                last.ns += cost.as_nanos();
+                return;
             }
-            self.prof_buf.push(ProfEntry {
-                node: self.site,
-                layer,
-                ns: cost.as_nanos(),
-                tid,
-            });
         }
+        self.prof_buf.push(ProfEntry {
+            node: self.site,
+            layer,
+            ns: cost.as_nanos(),
+            tid,
+        });
     }
 
     /// Charges `cost` nanoseconds against `layer`.
@@ -293,23 +254,11 @@ impl Charge {
         self.add(layer, SimTime::from_nanos(ns_per_byte * len as u64));
     }
 
-    /// Records a protection-boundary crossing in `layer` and charges its
-    /// cost.
-    pub fn crossing(&mut self, layer: Layer, cost: SimTime) {
-        self.add(layer, cost);
-        if self.mask & M_PROBE != 0 {
-            if let Some(p) = &self.probe {
-                p.borrow_mut().record_crossing(layer);
-            }
-        }
-    }
-
-    /// Records a protection-boundary crossing in `layer`, charges its
-    /// cost, and counts it in the census under `domain` (the domain being
-    /// *entered*). Use in place of [`Charge::crossing`] at sites on the
-    /// operation census.
+    /// Charges a protection-boundary crossing's `cost` to `layer` and
+    /// counts it in the census under `domain` (the domain being
+    /// *entered*).
     pub fn crossing_in(&mut self, domain: Domain, layer: Layer, cost: SimTime) {
-        self.crossing(layer, cost);
+        self.add(layer, cost);
         self.note(OpKind::BoundaryCrossing, domain, layer);
     }
 
@@ -381,12 +330,6 @@ impl Charge {
                 c.borrow_mut().note_scoped(op, scope, n);
             }
         }
-    }
-
-    /// Returns the probe this cursor reports to, for handing to detached
-    /// accounting (e.g. wire transit).
-    pub fn probe_handle(&self) -> Option<ProbeHandle> {
-        self.probe.clone()
     }
 
     /// Returns the census this cursor reports to.
@@ -527,20 +470,11 @@ impl Charge {
     }
 }
 
-/// Convenience: record transit time on a probe without a CPU.
-pub fn record_transit(probe: &Option<ProbeHandle>, cost: SimTime) {
-    if let Some(p) = probe {
-        p.borrow_mut().record(Layer::NetworkTransit, cost);
-    }
-}
-
-#[allow(unused_imports)]
-pub use crate::probe::LayerStats;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::LatencyProbe;
+    use crate::census::Census;
+    use crate::profile::Profiler;
 
     #[test]
     fn charge_advances_cursor() {
@@ -585,17 +519,35 @@ mod tests {
 
     #[test]
     fn charges_reach_probe() {
-        let probe = LatencyProbe::shared();
+        // Layer time reaches the profiler, crossings the census.
+        let prof = Profiler::shared();
+        let census = Census::shared();
         let mut cpu = Cpu::new();
-        cpu.set_probe(Some(probe.clone()));
+        cpu.set_profiler(Some(prof.clone()));
+        cpu.set_census(Some(census.clone()));
         let mut c = cpu.begin(SimTime::ZERO);
         c.add(Layer::TcpUdpInput, SimTime::from_micros(3));
-        c.crossing(Layer::KernelCopyout, SimTime::from_micros(2));
+        c.crossing_in(
+            Domain::Library,
+            Layer::KernelCopyout,
+            SimTime::from_micros(2),
+        );
         cpu.finish(c);
-        let p = probe.borrow();
-        assert_eq!(p.layer(Layer::TcpUdpInput).total, SimTime::from_micros(3));
-        assert_eq!(p.layer(Layer::KernelCopyout).total, SimTime::from_micros(2));
-        assert_eq!(p.layer(Layer::KernelCopyout).crossings, 1);
+        let ns = prof.borrow().layer_ns();
+        assert_eq!(
+            SimTime::from_nanos(ns[Layer::TcpUdpInput.index()]),
+            SimTime::from_micros(3)
+        );
+        assert_eq!(
+            SimTime::from_nanos(ns[Layer::KernelCopyout.index()]),
+            SimTime::from_micros(2)
+        );
+        assert_eq!(
+            census
+                .borrow()
+                .layer_total(OpKind::BoundaryCrossing, Layer::KernelCopyout),
+            1
+        );
     }
 
     #[test]
@@ -608,24 +560,34 @@ mod tests {
 
     #[test]
     fn detached_masks_match_attachments() {
-        // The packed dispatch mask must agree with the handles: a
-        // detached charge with a probe still records, and site hooks on
-        // an unprofiled charge are free no-ops.
-        let probe = LatencyProbe::shared();
-        let mut c = Charge::detached(SimTime::ZERO, Some(probe.clone()));
+        // The packed dispatch mask must agree with the handles: with
+        // only a census attached, a charge's site hooks are free no-ops,
+        // its fault sites never fire, and its crossings still count;
+        // attaching a profiler afterwards reaches the next charge.
+        let census = Census::shared();
+        let mut cpu = Cpu::new();
+        cpu.set_census(Some(census.clone()));
+        let mut c = cpu.begin(SimTime::ZERO);
         c.site_push(Domain::Kernel, "nowhere");
-        c.add_ns(Layer::NetworkTransit, 11);
-        c.site_pop();
-        assert_eq!(
-            probe.borrow().layer(Layer::NetworkTransit).total,
-            SimTime::from_nanos(11)
+        c.crossing_in(
+            Domain::Kernel,
+            Layer::NetworkTransit,
+            SimTime::from_nanos(11),
         );
+        c.site_pop();
         assert!(!c.fault(FaultSite::WireLoss));
+        cpu.finish(c);
+        assert_eq!(census.borrow().total(OpKind::BoundaryCrossing), 1);
+        let prof = Profiler::shared();
+        cpu.set_profiler(Some(prof.clone()));
+        let mut c = cpu.begin(SimTime::ZERO);
+        c.add_ns(Layer::NetworkTransit, 11);
+        cpu.finish(c);
+        assert_eq!(prof.borrow().layer_ns()[Layer::NetworkTransit.index()], 11);
     }
 
     #[test]
     fn note_fans_out_to_census_and_tracer() {
-        use crate::census::Census;
         use crate::trace::Tracer;
         let census = Census::shared();
         let tracer = Tracer::shared();
@@ -659,7 +621,6 @@ mod tests {
 
     #[test]
     fn trace_drop_terminates_and_counts_count_drop_only_counts() {
-        use crate::census::Census;
         use crate::trace::Tracer;
         let census = Census::shared();
         let tracer = Tracer::shared();
@@ -685,20 +646,9 @@ mod tests {
     }
 
     #[test]
-    fn detached_charge_records_transit() {
-        let probe = LatencyProbe::shared();
-        record_transit(&Some(probe.clone()), SimTime::from_micros(51));
-        assert_eq!(
-            probe.borrow().layer(Layer::NetworkTransit).total,
-            SimTime::from_micros(51)
-        );
-    }
-
-    #[test]
     fn mask_tracks_detach() {
         // Attach, then detach: the mask must drop back so hot methods
         // take the fast path again and observers stop receiving.
-        use crate::census::Census;
         let census = Census::shared();
         let mut cpu = Cpu::new();
         cpu.set_census(Some(census.clone()));

@@ -18,8 +18,8 @@
 //!   accumulate charges through a [`Charge`] cursor.
 //! - [`CostModel`]: per-operation unit costs, calibrated against the
 //!   paper's Table 4 layer breakdown.
-//! - [`LatencyProbe`]: per-layer attribution of charged time, used to
-//!   regenerate Table 4.
+//! - [`Profiler`]: attribution of charged time to `(site, Layer)`
+//!   buckets; its per-layer projection regenerates Table 4.
 //! - [`Rng`]: a deterministic PRNG for loss/reorder schedules.
 
 pub mod census;
@@ -27,8 +27,8 @@ pub mod cost;
 pub mod cpu;
 pub mod engine;
 pub mod fault;
+pub mod layer;
 pub mod metrics;
-pub mod probe;
 pub mod profile;
 pub mod reference;
 pub mod rng;
@@ -43,8 +43,8 @@ pub use cost::{CostModel, Platform};
 pub use cpu::{Charge, Cpu};
 pub use engine::{Sim, SimHandle};
 pub use fault::{FaultPlane, FaultPlaneHandle, FaultSite};
+pub use layer::Layer;
 pub use metrics::{Metrics, MetricsHandle};
-pub use probe::{LatencyProbe, Layer, LayerStats, PathKind, ProbeHandle};
 pub use profile::{HotSite, ProfileHandle, Profiler};
 pub use reference::{BaselineHandle, BaselineQueue};
 pub use rng::Rng;

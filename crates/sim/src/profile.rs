@@ -1,10 +1,9 @@
 //! Charged-time profiling: who burned each nanosecond?
 //!
-//! The [`LatencyProbe`](crate::probe::LatencyProbe) answers "how much
-//! time went to each [`Layer`]"; the census answers "how many times did
-//! each operation run". Neither answers the question ROADMAP item 2
-//! asks of the packet path: *which charge site* is burning the
-//! ns/sim-packet. The [`Profiler`] does: every nanosecond charged
+//! The census answers "how many times did each operation run"; the
+//! [`Profiler`] answers both "how much time went to each [`Layer`]" (the
+//! split Table 4 reports, via [`Profiler::layer_ns`]) and *which charge
+//! site* is burning the ns/sim-packet. Every nanosecond charged
 //! through a [`Charge`](crate::cpu::Charge) opened on a CPU with a
 //! profiler attached is attributed to a `(site path × domain × layer)`
 //! bucket, where the site path is a small push/pop stack of static
@@ -34,7 +33,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::census::Domain;
-use crate::probe::Layer;
+use crate::layer::Layer;
 
 /// Shared handle to a profiler (one per CPU for per-CPU conservation).
 pub type ProfileHandle = Rc<RefCell<Profiler>>;
@@ -86,15 +85,13 @@ pub struct HotSite {
     pub ns: u64,
 }
 
-const LAYERS: usize = 15;
-
 /// The charged-time profiler: a site trie with per-`(node, layer)`
 /// nanosecond buckets and an optional per-packet join.
 #[derive(Debug)]
 pub struct Profiler {
     nodes: Vec<SiteNode>,
     /// Parallel to `nodes`: ns charged at each node, per layer.
-    buckets: Vec<[u64; LAYERS]>,
+    buckets: Vec<[u64; Layer::COUNT]>,
     /// Total nanoseconds flushed, across all buckets.
     attributed: u64,
     /// Per-packet attributed ns, keyed by raw tracer provenance id.
@@ -117,7 +114,7 @@ impl Profiler {
                 label: "-",
                 children: Vec::new(),
             }],
-            buckets: vec![[0; LAYERS]],
+            buckets: vec![[0; Layer::COUNT]],
             attributed: 0,
             packets: BTreeMap::new(),
         }
@@ -152,7 +149,7 @@ impl Profiler {
             label,
             children: Vec::new(),
         });
-        self.buckets.push([0; LAYERS]);
+        self.buckets.push([0; Layer::COUNT]);
         self.nodes[parent as usize].children.push(id);
         id
     }
@@ -177,6 +174,18 @@ impl Profiler {
     /// CPU's first charge this equals `Cpu::total_busy`, bit-exactly.
     pub fn attributed_ns(&self) -> u64 {
         self.attributed
+    }
+
+    /// Nanoseconds attributed to each layer, summed over every site,
+    /// indexed by [`Layer::index`]. Sums to [`Profiler::attributed_ns`].
+    pub fn layer_ns(&self) -> [u64; Layer::COUNT] {
+        let mut sum = [0; Layer::COUNT];
+        for bucket in &self.buckets {
+            for (s, ns) in sum.iter_mut().zip(bucket) {
+                *s += ns;
+            }
+        }
+        sum
     }
 
     /// Number of interned sites (the root included).
@@ -290,7 +299,7 @@ impl Profiler {
     /// Clears all buckets and the packet join (the trie is kept).
     pub fn reset(&mut self) {
         for b in &mut self.buckets {
-            *b = [0; LAYERS];
+            *b = [0; Layer::COUNT];
         }
         self.attributed = 0;
         self.packets.clear();
@@ -305,7 +314,34 @@ mod tests {
 
     #[test]
     fn layer_count_matches_probe() {
-        assert_eq!(Layer::ALL.len(), LAYERS);
+        // Buckets are indexed by declaration order: `Layer::ALL` must
+        // list every layer at its own index.
+        for (i, layer) in Layer::ALL.iter().enumerate() {
+            assert_eq!(layer.index(), i);
+        }
+    }
+
+    #[test]
+    fn layer_ns_sums_to_attributed_ns() {
+        let prof = Profiler::shared();
+        let mut cpu = Cpu::new();
+        cpu.set_profiler(Some(prof.clone()));
+        for (i, layer) in Layer::ALL.iter().enumerate() {
+            let mut c = cpu.begin(SimTime::ZERO);
+            c.site_push(Domain::Kernel, "a");
+            c.add_ns(*layer, 10 + i as u64);
+            c.site_pop();
+            c.site_push(Domain::Library, "b");
+            c.add_ns(*layer, 1);
+            c.site_pop();
+            cpu.finish(c);
+        }
+        let p = prof.borrow();
+        let ns = p.layer_ns();
+        for (i, layer) in Layer::ALL.iter().enumerate() {
+            assert_eq!(ns[layer.index()], 11 + i as u64);
+        }
+        assert_eq!(ns.iter().sum::<u64>(), p.attributed_ns());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The property suite of `tests/properties.rs`, ported to the
-//! simulator's own deterministic [`psd::sim::Rng`] so it runs in tier-1
-//! with no external crates (the proptest original stays behind the
-//! `proptest` feature). Same properties, fixed seeds, reproducible
-//! counterexamples: every failure message carries the case seed.
+//! Property tests over the substrates: codec roundtrips, checksum laws,
+//! mbuf-chain invariants, filter-VM memory safety, demux-strategy
+//! equivalence, IP reassembly, and TCP delivery under random faults.
+//! Inputs come from the simulator's own deterministic [`psd::sim::Rng`],
+//! so the suite needs no external crates: fixed seeds, reproducible
+//! counterexamples, and every failure message carries the case seed.
 
 use psd::filter::{Binop, DemuxStrategy, DemuxTable, EndpointSpec, Insn, Program};
 use psd::mbuf::MbufChain;
@@ -300,7 +301,7 @@ fn mbuf_chain_behaves_like_vec() {
 
 #[test]
 fn ip_reassembly_from_random_fragment_order() {
-    cases(0x5eed_000c, 64, |rng| {
+    cases(0x5eed_000c, 128, |rng| {
         use psd::netstack::ip::{fragment, Reassembler};
         let len = rng.range(1600, 5999) as usize;
         let mtu = [576usize, 1006, 1500][rng.below(3) as usize];
@@ -331,12 +332,11 @@ fn ip_reassembly_from_random_fragment_order() {
 
 /// Whole-system property: a TCP transfer through the decomposed
 /// architecture delivers its bytes exactly once, in order, whatever
-/// the wire does (loss, duplication, reordering within bounds). Three
-/// deterministic fault mixes stand in for the proptest original's
-/// random sampling.
+/// the wire does (loss, duplication, reordering within bounds), over
+/// twelve seeded fault mixes.
 #[test]
 fn tcp_delivery_is_exactly_once_in_order_under_faults() {
-    cases(0x5eed_000d, 3, |rng| {
+    cases(0x5eed_000d, 12, |rng| {
         use psd::core::{AppLib, Fd, FdEventFn};
         use psd::netstack::{InetAddr, SockEvent};
         use psd::server::Proto;
