@@ -533,11 +533,21 @@ impl MbufChain {
         }
     }
 
-    /// Flattens the chain into a fresh `Vec` (used at device boundaries).
+    /// Flattens the chain into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len];
-        self.copy_to_slice(0, &mut out);
+        let mut out = Vec::with_capacity(self.len);
+        self.append_to(&mut out);
         out
+    }
+
+    /// Appends the chain's bytes to `out` (`m_copydata` into the tail of
+    /// a frame being built, used at device boundaries).
+    pub fn append_to(&self, out: &mut Vec<u8>) {
+        out.reserve(self.len);
+        for seg in self.iter_segments() {
+            out.extend_from_slice(seg);
+        }
+        meter_copy(self.len);
     }
 
     /// Iterates over the contiguous byte segments of the chain.
@@ -989,6 +999,11 @@ mod tests {
         let mut out = vec![0u8; 1000];
         chain.copy_to_slice(0, &mut out);
         assert_eq!(copied_bytes(), 2000, "copyout is a second physical copy");
+        let mut frame = vec![1u8; 34];
+        chain.append_to(&mut frame);
+        assert_eq!(frame[..34], [1u8; 34]);
+        assert_eq!(frame[34..], data[..]);
+        assert_eq!(copied_bytes(), 3000, "appending to a frame is a copy too");
     }
 
     #[test]

@@ -381,11 +381,14 @@ impl Ethernet {
         drop(seg);
 
         let deliver_at = if reordered { arrival + extra } else { arrival };
-        Ethernet::schedule_delivery(this, sim, deliver_at, frame.clone(), wire_tid, exclude);
-        if duplicated {
+        // The frame moves into its delivery; only a duplicate costs a
+        // copy. The primary is scheduled first either way.
+        let duplicate = duplicated.then(|| frame.clone());
+        Ethernet::schedule_delivery(this, sim, deliver_at, frame, wire_tid, exclude);
+        if let Some(duplicate) = duplicate {
             // The duplicate's deliveries are traced as parentless
             // children: the wire frame must terminate exactly once.
-            Ethernet::schedule_delivery(this, sim, arrival + extra, frame, None, exclude);
+            Ethernet::schedule_delivery(this, sim, arrival + extra, duplicate, None, exclude);
         }
         arrival
     }
@@ -449,7 +452,9 @@ impl Ethernet {
                     tr.terminal(id, sim.now(), Terminal::Delivered);
                 }
             }
-            for station in receivers {
+            let mut frame = frame;
+            let last = receivers.len().saturating_sub(1);
+            for (i, station) in receivers.into_iter().enumerate() {
                 // Each station's copy is a traced child of the wire
                 // frame, current for the duration of the synchronous
                 // receive path (asynchronous continuations re-establish
@@ -460,7 +465,14 @@ impl Ethernet {
                     tr.push_current(c);
                     c
                 });
-                station.borrow_mut().frame_arrived(sim, frame.clone());
+                // The last receiver takes the frame itself; only extra
+                // receivers (broadcast, promiscuous) get copies.
+                let copy = if i == last {
+                    std::mem::take(&mut frame)
+                } else {
+                    frame.clone()
+                };
+                station.borrow_mut().frame_arrived(sim, copy);
                 if child.is_some() {
                     if let Some(t) = &tracer {
                         t.borrow_mut().pop_current();

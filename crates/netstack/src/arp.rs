@@ -9,7 +9,9 @@
 //!
 //! Packets addressed to an unresolved next hop queue on the cache (one
 //! small queue per address, as in BSD `arpresolve`) and drain when the
-//! reply arrives.
+//! reply arrives. A queued packet is already its final frame: the IP
+//! datagram behind `ETHER_HDR_LEN` bytes of headroom, into which the
+//! Ethernet header is written once the address is known.
 
 use psd_sim::SimTime;
 use psd_wire::EtherAddr;
@@ -55,7 +57,7 @@ impl ArpCache {
             .map(|e| e.mac)
     }
 
-    /// Inserts or refreshes an entry, returning any packets that were
+    /// Inserts or refreshes an entry, returning any frames that were
     /// waiting for it.
     pub fn insert(&mut self, ip: Ipv4Addr, mac: EtherAddr, now: SimTime) -> Vec<Vec<u8>> {
         self.entries.insert(
@@ -79,7 +81,7 @@ impl ArpCache {
         existed
     }
 
-    /// Queues a packet awaiting resolution of `ip`. Returns `true` if
+    /// Queues a frame awaiting resolution of `ip`. Returns `true` if
     /// this is the *first* packet queued (i.e. the caller should send an
     /// ARP request), `false` otherwise. The queue is bounded; overflow
     /// drops the oldest packet, as BSD does.

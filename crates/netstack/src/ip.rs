@@ -13,6 +13,7 @@ use psd_wire::IpProto;
 use psd_wire::Ipv4Header;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// How long a partial datagram may sit in the reassembly queue.
 pub const REASS_TTL: SimTime = SimTime::from_secs(30);
@@ -21,21 +22,34 @@ pub const REASS_TTL: SimTime = SimTime::from_secs(30);
 /// `(header, payload)` pairs ready for transmission. The input header
 /// must describe the whole datagram.
 pub fn fragment(hdr: &Ipv4Header, payload: &[u8], mtu: usize) -> Vec<(Ipv4Header, Vec<u8>)> {
+    fragment_ranges(hdr, payload.len(), mtu)
+        .into_iter()
+        .map(|(fh, range)| (fh, payload[range].to_vec()))
+        .collect()
+}
+
+/// [`fragment`] without the copies: the header of each fragment and the
+/// range of the `payload_len`-byte payload it carries.
+pub fn fragment_ranges(
+    hdr: &Ipv4Header,
+    payload_len: usize,
+    mtu: usize,
+) -> Vec<(Ipv4Header, Range<usize>)> {
     let max_data = (mtu - hdr.header_len) & !7;
     assert!(max_data > 0, "mtu too small to fragment into");
-    if payload.len() + hdr.header_len <= mtu {
-        return vec![(*hdr, payload.to_vec())];
+    if payload_len + hdr.header_len <= mtu {
+        return vec![(*hdr, 0..payload_len)];
     }
     let mut out = Vec::new();
     let mut off = 0;
-    while off < payload.len() {
-        let take = max_data.min(payload.len() - off);
-        let last = off + take == payload.len();
+    while off < payload_len {
+        let take = max_data.min(payload_len - off);
+        let last = off + take == payload_len;
         let mut fh = *hdr;
         fh.frag_offset = hdr.frag_offset + off as u16;
         fh.more_fragments = !last || hdr.more_fragments;
         fh.total_len = (fh.header_len + take) as u16;
-        out.push((fh, payload[off..off + take].to_vec()));
+        out.push((fh, off..off + take));
         off += take;
     }
     out

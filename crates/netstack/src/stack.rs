@@ -18,12 +18,12 @@ use psd_sim::{
 };
 use psd_wire::{
     ArpOp, ArpPacket, EtherAddr, EtherType, EthernetHeader, IcmpMessage, IpProto, Ipv4Header,
-    TcpHeader, UdpHeader, ETHER_HDR_LEN,
+    TcpHeader, UdpHeader, ETHER_HDR_LEN, IPV4_HDR_LEN,
 };
 
 use crate::arp::ArpCache;
 use crate::icmp;
-use crate::ip::{fragment, IpIdent, Reassembler};
+use crate::ip::{fragment_ranges, IpIdent, Reassembler};
 use crate::route::RouteTable;
 use crate::socket::{SockEvent, SockId, SocketError};
 use crate::tcp::{SegmentSpec, Tcb, TcbSnapshot, TcpAction, TcpState, TcpTimer};
@@ -77,6 +77,42 @@ pub type UnclaimedUdpHook = Rc<RefCell<dyn FnMut(&mut Sim, InetAddr, InetAddr, &
 /// application (a stray segment must not reset a live connection).
 pub type StrayTcpHook = Rc<RefCell<dyn FnMut(InetAddr, InetAddr) -> bool>>;
 
+/// Bytes reserved in front of every transport segment for the Ethernet
+/// and IPv4 headers. The layer that creates a frame allocates it once,
+/// at its final size; `ip_output` and `transmit_ip_frame` then write
+/// their headers into the headroom in place.
+const FRAME_HEADROOM: usize = ETHER_HDR_LEN + IPV4_HDR_LEN;
+
+/// An empty frame with room for `len` transport bytes behind
+/// [`FRAME_HEADROOM`] bytes of zeroed headroom.
+fn frame_buffer(len: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADROOM + len);
+    frame.resize(FRAME_HEADROOM, 0);
+    frame
+}
+
+/// A frame carrying the IP datagram `hdr` + `payload` behind room for
+/// the Ethernet header (the form `ether_output` takes).
+fn ip_frame(hdr: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
+    let mut frame = frame_buffer(payload.len());
+    frame[ETHER_HDR_LEN..].copy_from_slice(&hdr.encode());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// A complete ARP frame.
+fn arp_frame(dst: EtherAddr, src: EtherAddr, arp: &ArpPacket) -> Vec<u8> {
+    let eth = EthernetHeader {
+        dst,
+        src,
+        ethertype: EtherType::Arp,
+    };
+    let mut frame = Vec::with_capacity(ETHER_HDR_LEN + psd_wire::arp::ARP_LEN);
+    frame.extend_from_slice(&eth.encode());
+    frame.extend_from_slice(&arp.encode());
+    frame
+}
+
 struct ListenState {
     backlog: usize,
     queue: Vec<SockId>,
@@ -99,8 +135,15 @@ struct SockEntry {
     sink: Option<EventSink>,
     timers: HashMap<TcpTimer, SimHandle>,
     /// Bumped whenever timers are invalidated wholesale (close,
-    /// migration) so stale timer events turn into no-ops.
-    generation: u64,
+    /// migration) so stale timer events turn into no-ops. (32 bits, so
+    /// that it and `owner_closed` share one word: a stack holds an entry
+    /// per session, thousands of them.)
+    generation: u32,
+    /// The owner has closed or aborted its descriptor (BSD's
+    /// `SS_NOFDREF`): a TCP entry is freed as soon as its connection
+    /// reaches CLOSED, instead of waiting for an owner that will not
+    /// come back.
+    owner_closed: bool,
     /// Trace ids of datagrams sitting in the socket queue, parallel to
     /// the UDP pcb's receive queue. Records the enqueue timestamp so the
     /// socket-queue span can be closed retroactively at dequeue.
@@ -277,19 +320,19 @@ impl NetStack {
         let Some(next_hop) = self.routes.lookup(ip) else {
             return;
         };
-        if !self.arp.request_due(next_hop, now) {
-            return;
+        if self.arp.request_due(next_hop, now) {
+            self.send_arp_request(sim, charge, next_hop);
         }
+    }
+
+    fn send_arp_request(&self, sim: &mut Sim, charge: &mut Charge, ip: Ipv4Addr) {
         let ifnet = self.ifnet.clone().expect("no ifnet");
-        let req = ArpPacket::request(ifnet.mac(), self.ip_addr, next_hop);
-        let eth = EthernetHeader {
-            dst: EtherAddr::BROADCAST,
-            src: ifnet.mac(),
-            ethertype: EtherType::Arp,
-        };
-        let mut frame = eth.encode().to_vec();
-        frame.extend_from_slice(&req.encode());
-        ifnet.transmit(sim, charge, frame);
+        let req = ArpPacket::request(ifnet.mac(), self.ip_addr, ip);
+        ifnet.transmit(
+            sim,
+            charge,
+            arp_frame(EtherAddr::BROADCAST, ifnet.mac(), &req),
+        );
     }
 
     /// Sets the default TCP buffer sizes `(send, receive)` for new and
@@ -374,6 +417,7 @@ impl NetStack {
                 sink: None,
                 timers: HashMap::new(),
                 generation: 0,
+                owner_closed: false,
                 trace_q: std::collections::VecDeque::new(),
             },
         );
@@ -840,10 +884,11 @@ impl NetStack {
             self.placement.domain(),
             Layer::TcpUdpOutput,
         );
-        let mut payload = udp.encode().to_vec();
-        payload.extend_from_slice(&chain.to_vec());
+        let mut frame = frame_buffer(psd_wire::UDP_HDR_LEN + len);
+        frame.extend_from_slice(&udp.encode());
+        chain.append_to(&mut frame);
         self.stats.udp_out += 1;
-        let out = self.ip_output(sim, charge, remote.ip, IpProto::Udp, payload);
+        let out = self.ip_output(sim, charge, remote.ip, IpProto::Udp, frame);
         charge.site_pop();
         out
     }
@@ -1103,6 +1148,7 @@ impl NetStack {
         };
         match &mut e.state {
             SockState::Tcp(tcb) => {
+                e.owner_closed = true;
                 let now = charge.at();
                 let actions = tcb.close(now);
                 self.run_tcp_actions(sim, charge, sock, actions);
@@ -1121,12 +1167,14 @@ impl NetStack {
         }
     }
 
-    /// Abortive close (RST for synchronized TCP).
+    /// Abortive close (RST for synchronized TCP). The socket is
+    /// deallocated before this returns.
     pub fn abort(&mut self, sim: &mut Sim, charge: &mut Charge, sock: SockId) {
         let Some(e) = self.socks.get_mut(&sock) else {
             return;
         };
         if let SockState::Tcp(tcb) = &mut e.state {
+            e.owner_closed = true;
             let actions = tcb.abort();
             self.run_tcp_actions(sim, charge, sock, actions);
         } else {
@@ -1210,16 +1258,17 @@ impl NetStack {
 
     // --- Output path ---
 
+    /// Sends the transport segment in `frame[FRAME_HEADROOM..]`.
     fn ip_output(
         &mut self,
         sim: &mut Sim,
         charge: &mut Charge,
         dst: Ipv4Addr,
         proto: IpProto,
-        payload: Vec<u8>,
+        frame: Vec<u8>,
     ) -> Result<(), SocketError> {
         charge.site_push(self.placement.domain(), "ip_output");
-        let out = self.ip_output_inner(sim, charge, dst, proto, payload);
+        let out = self.ip_output_inner(sim, charge, dst, proto, frame);
         charge.site_pop();
         out
     }
@@ -1230,33 +1279,34 @@ impl NetStack {
         charge: &mut Charge,
         dst: Ipv4Addr,
         proto: IpProto,
-        payload: Vec<u8>,
+        mut frame: Vec<u8>,
     ) -> Result<(), SocketError> {
         charge.add_ns(Layer::IpOutput, self.costs.ip_output_base);
         charge.note(OpKind::HeaderCopy, self.placement.domain(), Layer::IpOutput);
         let mtu = self.ifnet.as_ref().map_or(1500, |i| i.mtu());
-        let mut hdr = Ipv4Header::new(self.ip_addr, dst, proto, payload.len());
+        let payload_len = frame.len() - FRAME_HEADROOM;
+        let mut hdr = Ipv4Header::new(self.ip_addr, dst, proto, payload_len);
         hdr.ident = self.ident.next();
-        if payload.len() + psd_wire::IPV4_HDR_LEN > mtu {
-            for (fh, fdata) in fragment(&hdr, &payload, mtu) {
-                let mut pkt = fh.encode().to_vec();
-                pkt.extend_from_slice(&fdata);
-                self.ether_output(sim, charge, dst, pkt)?;
+        if payload_len + IPV4_HDR_LEN > mtu {
+            let payload = &frame[FRAME_HEADROOM..];
+            for (fh, range) in fragment_ranges(&hdr, payload_len, mtu) {
+                self.ether_output(sim, charge, dst, ip_frame(&fh, &payload[range]))?;
             }
             Ok(())
         } else {
-            let mut pkt = hdr.encode().to_vec();
-            pkt.extend_from_slice(&payload);
-            self.ether_output(sim, charge, dst, pkt)
+            frame[ETHER_HDR_LEN..FRAME_HEADROOM].copy_from_slice(&hdr.encode());
+            self.ether_output(sim, charge, dst, frame)
         }
     }
 
+    /// Sends the IP datagram in `frame[ETHER_HDR_LEN..]`, or parks the
+    /// frame, headroom and all, on the ARP pending queue.
     fn ether_output(
         &mut self,
         sim: &mut Sim,
         charge: &mut Charge,
         dst: Ipv4Addr,
-        ip_packet: Vec<u8>,
+        frame: Vec<u8>,
     ) -> Result<(), SocketError> {
         charge.add_ns(Layer::EtherOutput, self.costs.ether_output_base);
         self.sync(charge, Layer::EtherOutput, 3);
@@ -1266,26 +1316,17 @@ impl NetStack {
         charge.add_ns(Layer::EtherOutput, self.costs.arp_lookup);
         let now = charge.at();
         if let Some(mac) = self.arp.lookup(next_hop, now) {
-            self.transmit_ip_frame(sim, charge, mac, ip_packet);
+            self.transmit_ip_frame(sim, charge, mac, frame);
             return Ok(());
         }
         // ARP miss.
         if self.arp_authoritative {
-            self.arp.enqueue_pending(next_hop, ip_packet);
+            self.arp.enqueue_pending(next_hop, frame);
             // Request whenever one is due — lost requests are retried
             // the next time queued traffic (e.g. a TCP SYN
             // retransmission) prompts resolution.
             if self.arp.request_due(next_hop, now) {
-                let ifnet = self.ifnet.clone().expect("no ifnet");
-                let req = ArpPacket::request(ifnet.mac(), self.ip_addr, next_hop);
-                let eth = EthernetHeader {
-                    dst: EtherAddr::BROADCAST,
-                    src: ifnet.mac(),
-                    ethertype: EtherType::Arp,
-                };
-                let mut frame = eth.encode().to_vec();
-                frame.extend_from_slice(&req.encode());
-                ifnet.transmit(sim, charge, frame);
+                self.send_arp_request(sim, charge, next_hop);
             }
             Ok(())
         } else if let Some(mut resolver) = self.arp_resolver.take() {
@@ -1298,7 +1339,7 @@ impl NetStack {
                     let now = charge.at();
                     let drained = self.arp.insert(next_hop, mac, now);
                     debug_assert!(drained.is_empty());
-                    self.transmit_ip_frame(sim, charge, mac, ip_packet);
+                    self.transmit_ip_frame(sim, charge, mac, frame);
                     Ok(())
                 }
                 None => {
@@ -1318,12 +1359,14 @@ impl NetStack {
         }
     }
 
+    /// Writes the Ethernet header into `frame`'s headroom and hands the
+    /// frame to the interface.
     fn transmit_ip_frame(
         &mut self,
         sim: &mut Sim,
         charge: &mut Charge,
         dst_mac: EtherAddr,
-        ip_packet: Vec<u8>,
+        mut frame: Vec<u8>,
     ) {
         let ifnet = self.ifnet.clone().expect("no ifnet");
         let eth = EthernetHeader {
@@ -1336,8 +1379,7 @@ impl NetStack {
             self.placement.domain(),
             Layer::EtherOutput,
         );
-        let mut frame = eth.encode().to_vec();
-        frame.extend_from_slice(&ip_packet);
+        frame[..ETHER_HDR_LEN].copy_from_slice(&eth.encode());
         ifnet.transmit(sim, charge, frame);
     }
 
@@ -1392,14 +1434,7 @@ impl NetStack {
         if arp.op == ArpOp::Request && arp.target_ip == self.ip_addr && self.arp_authoritative {
             let ifnet = self.ifnet.clone().expect("no ifnet");
             let reply = arp.reply_to(ifnet.mac());
-            let eth = EthernetHeader {
-                dst: arp.sender_mac,
-                src: ifnet.mac(),
-                ethertype: EtherType::Arp,
-            };
-            let mut frame = eth.encode().to_vec();
-            frame.extend_from_slice(&reply.encode());
-            ifnet.transmit(sim, charge, frame);
+            ifnet.transmit(sim, charge, arp_frame(arp.sender_mac, ifnet.mac(), &reply));
         }
     }
 
@@ -1539,9 +1574,7 @@ impl NetStack {
                 let mut quoted = ip.encode().to_vec();
                 quoted.extend_from_slice(&pkt[..pkt.len().min(8)]);
                 let (ih, ipayload) = icmp::port_unreachable(self.ip_addr, ip.src, &quoted);
-                let mut ippkt = ih.encode().to_vec();
-                ippkt.extend_from_slice(&ipayload);
-                let _ = self.ether_output(sim, charge, ip.src, ippkt);
+                let _ = self.ether_output(sim, charge, ip.src, ip_frame(&ih, &ipayload));
             }
             return;
         };
@@ -1785,16 +1818,23 @@ impl NetStack {
                     self.notify(sim, charge, sock, SockEvent::Error(err), true);
                 }
                 TcpAction::Free => {
-                    // Cancel timers; the entry itself stays until the
-                    // owner closes the descriptor (so errors/EOF remain
-                    // observable). The owner is told it may clean up.
-                    if let Some(e) = self.socks.get_mut(&sock) {
-                        e.generation += 1;
-                        for (_, h) in e.timers.drain() {
-                            sim.cancel(h);
-                        }
+                    // Cancel timers and tell the owner it may clean up.
+                    // If the owner has already closed the descriptor the
+                    // entry goes now; otherwise it stays until the owner
+                    // closes or aborts it, so errors and EOF remain
+                    // observable.
+                    let Some(e) = self.socks.get_mut(&sock) else {
+                        continue;
+                    };
+                    e.generation = e.generation.wrapping_add(1);
+                    for (_, h) in e.timers.drain() {
+                        sim.cancel(h);
                     }
+                    let owner_closed = e.owner_closed;
                     self.notify(sim, charge, sock, SockEvent::Closed, false);
+                    if owner_closed {
+                        self.remove_sock(sim, sock);
+                    }
                 }
             }
         }
@@ -1817,31 +1857,24 @@ impl NetStack {
             self.costs.mbuf_alloc * (1 + spec.data.mbuf_count() as u64),
         );
         let hdr = spec.header();
-        let ip = Ipv4Header::new(
-            spec.local.ip,
-            spec.remote.ip,
-            IpProto::Tcp,
-            hdr.header_len() + spec.data.len(),
-        );
-        charge.add_per_byte(
-            Layer::TcpUdpOutput,
-            self.costs.checksum_byte,
-            hdr.header_len() + spec.data.len(),
-        );
+        let tcp_len = hdr.header_len() + spec.data.len();
+        let ip = Ipv4Header::new(spec.local.ip, spec.remote.ip, IpProto::Tcp, tcp_len);
+        charge.add_per_byte(Layer::TcpUdpOutput, self.costs.checksum_byte, tcp_len);
         charge.note(
             OpKind::Checksum,
             self.placement.domain(),
             Layer::TcpUdpOutput,
         );
-        let tcp_bytes = hdr.encode_with_checksum(&ip, spec.data.len(), spec.data.iter_segments());
         charge.note(
             OpKind::HeaderCopy,
             self.placement.domain(),
             Layer::TcpUdpOutput,
         );
-        let mut payload = tcp_bytes;
-        payload.extend_from_slice(&spec.data.to_vec());
-        let _ = self.ip_output(sim, charge, spec.remote.ip, IpProto::Tcp, payload);
+        let mut frame = frame_buffer(tcp_len);
+        hdr.encode_into(&mut frame);
+        spec.data.append_to(&mut frame);
+        TcpHeader::set_checksum(&ip, &mut frame[FRAME_HEADROOM..]);
+        let _ = self.ip_output(sim, charge, spec.remote.ip, IpProto::Tcp, frame);
         charge.site_pop();
     }
 
@@ -1865,9 +1898,7 @@ impl NetStack {
         // Echo: answered by the authoritative (OS) stack.
         if self.arp_authoritative {
             if let Some((rip, rpayload)) = icmp::echo_reply(ip, &msg) {
-                let mut ippkt = rip.encode().to_vec();
-                ippkt.extend_from_slice(&rpayload);
-                let _ = self.ether_output(sim, charge, rip.dst, ippkt);
+                let _ = self.ether_output(sim, charge, rip.dst, ip_frame(&rip, &rpayload));
                 return;
             }
         }

@@ -286,9 +286,15 @@ fn tcp_connect_transfer_close_over_wire() {
     });
     assert_eq!(eof.unwrap(), 0, "EOF after FIN");
     r.with_charge(&b, |s, sim, ch| s.close(sim, ch, cb));
-    // Run long enough for TIME_WAIT to expire.
+    // Run long enough for TIME_WAIT to expire. Both owners closed their
+    // descriptors, so both connections are freed once CLOSED; each
+    // owner still hears that its connection terminated.
     r.sim.run_to_idle();
-    assert_eq!(r.a.borrow().tcp_state(ca), Some(TcpState::Closed));
+    assert!(r.saw('a', ca, SockEvent::Closed));
+    assert!(r.saw('b', cb, SockEvent::Closed));
+    assert_eq!(r.a.borrow().tcp_state(ca), None);
+    assert!(!r.a.borrow().exists(ca) && !r.b.borrow().exists(cb));
+    assert_eq!(r.b.borrow().session_count(), 1, "only the listener is left");
 }
 
 #[test]

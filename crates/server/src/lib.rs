@@ -1138,7 +1138,9 @@ impl OsServer {
         }
         if let Home::Server(sock) = sess.home {
             s.sock_to_session.remove(&sock);
-            // Make sure the stack entry is gone (no-op if already).
+            // A socket the server closed is freed by the stack when
+            // its connection reaches CLOSED, so it is usually gone by
+            // now; abort (which also frees it) covers the rest.
             if s.stack.borrow().exists(sock) {
                 let cpu = s.stack.borrow().cpu();
                 let now = sim.now();

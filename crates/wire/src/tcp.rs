@@ -92,23 +92,42 @@ impl TcpHeader {
 
     /// Encodes the header (checksum field zero) into a buffer.
     pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(self.header_len());
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Appends the encoded header (checksum field zero) to `out`, so a
+    /// segment can be built in its final buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let len = self.header_len();
-        let mut b = vec![0u8; len];
-        put16(&mut b, 0, self.src_port);
-        put16(&mut b, 2, self.dst_port);
-        put32(&mut b, 4, self.seq);
-        put32(&mut b, 8, self.ack);
+        let start = out.len();
+        out.resize(start + len, 0);
+        let b = &mut out[start..];
+        put16(b, 0, self.src_port);
+        put16(b, 2, self.dst_port);
+        put32(b, 4, self.seq);
+        put32(b, 8, self.ack);
         b[12] = ((len / 4) as u8) << 4;
         b[13] = self.flags.0;
-        put16(&mut b, 14, self.window);
+        put16(b, 14, self.window);
         // Checksum at 16 left zero; urgent pointer at 18.
-        put16(&mut b, 18, self.urgent);
+        put16(b, 18, self.urgent);
         if let Some(mss) = self.mss {
             b[20] = 2; // Kind: MSS.
             b[21] = 4; // Length.
-            put16(&mut b, 22, mss);
+            put16(b, 22, mss);
         }
-        b
+    }
+
+    /// Fills in the checksum of `segment`, an encoded header followed by
+    /// its payload in one buffer, over the pseudo-header and every byte.
+    pub fn set_checksum(ip: &Ipv4Header, segment: &mut [u8]) {
+        put16(segment, 16, 0);
+        let mut c: Checksum = ip.pseudo_checksum(segment.len());
+        c.add_bytes(segment);
+        let ck = c.finish();
+        put16(segment, 16, ck);
     }
 
     /// Encodes with the TCP checksum computed over the pseudo-header and
@@ -256,6 +275,22 @@ mod tests {
             payload.len(),
             std::iter::once(&payload[..])
         ));
+    }
+
+    #[test]
+    fn in_place_checksum_matches_separate_encode() {
+        let payload = b"odd-length segment payload";
+        let mut h = base();
+        h.mss = Some(1460);
+        let ip = ip_for(h.header_len() + payload.len());
+        let mut segment = vec![0xEE; 3];
+        h.encode_into(&mut segment);
+        segment.extend_from_slice(payload);
+        TcpHeader::set_checksum(&ip, &mut segment[3..]);
+        let mut expect = h.encode_with_checksum(&ip, payload.len(), std::iter::once(&payload[..]));
+        expect.extend_from_slice(payload);
+        assert_eq!(segment[..3], [0xEE; 3], "bytes before the header untouched");
+        assert_eq!(segment[3..], expect[..]);
     }
 
     #[test]
