@@ -722,14 +722,16 @@ impl AppLib {
         let server = this.borrow().server.clone().expect("server");
         let parent_proc = this.borrow().proc.expect("registered");
 
-        // Step 1: return all local sessions.
-        let local_fds: Vec<Fd> = this
+        // Step 1: return all local sessions, in descriptor order (each
+        // return is a charged RPC, so map order must not pick it).
+        let mut local_fds: Vec<Fd> = this
             .borrow()
             .fds
             .iter()
             .filter(|(_, e)| matches!(e.state, FdState::Local { .. }))
             .map(|(fd, _)| *fd)
             .collect();
+        local_fds.sort();
         for fd in local_fds {
             let (sock, sid) = {
                 let app = this.borrow();
@@ -855,7 +857,7 @@ impl AppLib {
                 _ => None,
             })
             .collect();
-        locals.sort(); // map order is not deterministic across runs
+        locals.sort(); // map order must not pick the adoption order
         {
             let mut srv = server.borrow_mut();
             for sid in &locals {

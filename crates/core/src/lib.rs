@@ -36,8 +36,8 @@ pub mod control;
 pub mod data;
 pub mod select;
 
+use psd_sim::hash::{HashMap, HashSet};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::rc::{Rc, Weak};
 
@@ -178,14 +178,14 @@ impl AppLib {
             stack: Some(stack.clone()),
             kern_ports: None,
             host_ip,
-            fds: HashMap::new(),
+            fds: HashMap::default(),
             next_fd: 3,
-            sock_to_fd: HashMap::new(),
-            session_to_fd: HashMap::new(),
-            handlers: HashMap::new(),
-            accept_ready: HashMap::new(),
-            accept_pending: HashSet::new(),
-            watched: HashSet::new(),
+            sock_to_fd: HashMap::default(),
+            session_to_fd: HashMap::default(),
+            handlers: HashMap::default(),
+            accept_ready: HashMap::default(),
+            accept_pending: HashSet::default(),
+            watched: HashSet::default(),
             local_selects: Vec::new(),
             next_token: 1,
             stats: AppStats::default(),
@@ -259,14 +259,14 @@ impl AppLib {
             stack: None,
             kern_ports: None,
             host_ip,
-            fds: HashMap::new(),
+            fds: HashMap::default(),
             next_fd: 3,
-            sock_to_fd: HashMap::new(),
-            session_to_fd: HashMap::new(),
-            handlers: HashMap::new(),
-            accept_ready: HashMap::new(),
-            accept_pending: HashSet::new(),
-            watched: HashSet::new(),
+            sock_to_fd: HashMap::default(),
+            session_to_fd: HashMap::default(),
+            handlers: HashMap::default(),
+            accept_ready: HashMap::default(),
+            accept_pending: HashSet::default(),
+            watched: HashSet::default(),
             local_selects: Vec::new(),
             next_token: 1,
             stats: AppStats::default(),
@@ -297,14 +297,14 @@ impl AppLib {
             stack: Some(kern_stack.clone()),
             kern_ports: Some(kern_ports.clone()),
             host_ip,
-            fds: HashMap::new(),
+            fds: HashMap::default(),
             next_fd: 3,
-            sock_to_fd: HashMap::new(),
-            session_to_fd: HashMap::new(),
-            handlers: HashMap::new(),
-            accept_ready: HashMap::new(),
-            accept_pending: HashSet::new(),
-            watched: HashSet::new(),
+            sock_to_fd: HashMap::default(),
+            session_to_fd: HashMap::default(),
+            handlers: HashMap::default(),
+            accept_ready: HashMap::default(),
+            accept_pending: HashSet::default(),
+            watched: HashSet::default(),
             local_selects: Vec::new(),
             next_token: 1,
             stats: AppStats::default(),

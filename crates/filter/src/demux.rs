@@ -15,8 +15,9 @@
 //! kernel can charge filter time to the `netisr/packet filter` row of
 //! Table 4.
 
+use psd_sim::hash::HashMap;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use crate::compile::{compile_endpoint, session_prefix, EndpointSpec};
@@ -140,9 +141,9 @@ impl<T: Clone> DemuxTable<T> {
             engine,
             slots: Vec::new(),
             free: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: HashMap::default(),
             plan: Vec::new(),
-            mpf_index: HashMap::new(),
+            mpf_index: HashMap::default(),
             prefix_len: session_prefix().len(),
             next_id: 1,
         }

@@ -27,8 +27,8 @@
 //! the calibrated [`CostModel`]; the crossings are counted on the
 //! operation census so Table 4's asterisks can be regenerated.
 
+use psd_sim::hash::HashMap;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -438,7 +438,7 @@ impl Kernel {
             mac,
             ether: None,
             demux: DemuxTable::new(DemuxStrategy::Mpf),
-            endpoints: HashMap::new(),
+            endpoints: HashMap::default(),
             default_endpoint: None,
             next_endpoint: 1,
             tx_limiter: None,
@@ -446,7 +446,7 @@ impl Kernel {
             ipf_endpoints: 0,
             batch: BatchConfig::default(),
             placement_policy: None,
-            gro: HashMap::new(),
+            gro: HashMap::default(),
             gro_gen: 0,
             ring_occupancy: Rc::new(Cell::new(0)),
             stats: KernelStats::default(),

@@ -13,9 +13,9 @@
 //! datagram behind `ETHER_HDR_LEN` bytes of headroom, into which the
 //! Ethernet header is written once the address is known.
 
+use psd_sim::hash::HashMap;
 use psd_sim::SimTime;
 use psd_wire::EtherAddr;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Default entry lifetime (BSD used 20 minutes).

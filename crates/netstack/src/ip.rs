@@ -7,11 +7,11 @@
 //! (which then forwards them to the owning application) — one of the
 //! "difficult cases" §3.1 routes through the server.
 
+use psd_sim::hash::HashMap;
 use psd_sim::SimTime;
 #[cfg(test)]
 use psd_wire::IpProto;
 use psd_wire::Ipv4Header;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 

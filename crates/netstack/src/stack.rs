@@ -6,8 +6,8 @@
 //! one application's library. All placements run this same code; see
 //! the crate docs for what [`Placement`] changes.
 
+use psd_sim::hash::HashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::{Rc, Weak};
 
@@ -133,7 +133,8 @@ enum SockState {
 struct SockEntry {
     state: SockState,
     sink: Option<EventSink>,
-    timers: HashMap<TcpTimer, SimHandle>,
+    /// Pending TCP timers, indexed by `TcpTimer as usize`.
+    timers: [Option<SimHandle>; 4],
     /// Bumped whenever timers are invalidated wholesale (close,
     /// migration) so stale timer events turn into no-ops. (32 bits, so
     /// that it and `owner_closed` share one word: a stack holds an entry
@@ -274,8 +275,8 @@ impl NetStack {
             stray_tcp: None,
             reasm: Reassembler::new(),
             ident: IpIdent::default(),
-            socks: HashMap::new(),
-            by_port: HashMap::new(),
+            socks: HashMap::default(),
+            by_port: HashMap::default(),
             pending_children: Vec::new(),
             next_sock: 1,
             iss_clock: 1,
@@ -415,7 +416,7 @@ impl NetStack {
             SockEntry {
                 state,
                 sink: None,
-                timers: HashMap::new(),
+                timers: [None; 4],
                 generation: 0,
                 owner_closed: false,
                 trace_q: std::collections::VecDeque::new(),
@@ -1185,7 +1186,7 @@ impl NetStack {
     fn remove_sock(&mut self, sim: &mut Sim, sock: SockId) {
         if let Some(e) = self.socks.remove(&sock) {
             self.unindex_sock(sock, Self::sock_port(&e.state));
-            for (_, h) in e.timers {
+            for h in e.timers.into_iter().flatten() {
                 sim.cancel(h);
             }
         }
@@ -1204,7 +1205,7 @@ impl NetStack {
     pub fn export_session(&mut self, sim: &mut Sim, sock: SockId) -> Option<SessionState> {
         let mut e = self.socks.remove(&sock)?;
         self.unindex_sock(sock, Self::sock_port(&e.state));
-        for (_, h) in e.timers.drain() {
+        for h in e.timers.iter_mut().filter_map(Option::take) {
             sim.cancel(h);
         }
         let state = match &mut e.state {
@@ -1776,7 +1777,7 @@ impl NetStack {
                 TcpAction::SetTimer(kind, delay) => self.arm_timer(sim, sock, kind, delay),
                 TcpAction::CancelTimer(kind) => {
                     if let Some(e) = self.socks.get_mut(&sock) {
-                        if let Some(h) = e.timers.remove(&kind) {
+                        if let Some(h) = e.timers[kind as usize].take() {
                             sim.cancel(h);
                         }
                     }
@@ -1827,7 +1828,7 @@ impl NetStack {
                         continue;
                     };
                     e.generation = e.generation.wrapping_add(1);
-                    for (_, h) in e.timers.drain() {
+                    for h in e.timers.iter_mut().filter_map(Option::take) {
                         sim.cancel(h);
                     }
                     let owner_closed = e.owner_closed;
@@ -1904,17 +1905,16 @@ impl NetStack {
         }
         // Port unreachable → error on the matching connected UDP socket.
         if let Some((dst_ip, dst_port, src_port)) = icmp::parse_unreachable_udp(&msg) {
-            let mut hit = None;
-            for (id, e) in &self.socks {
-                if let SockState::Udp(pcb) = &e.state {
-                    if pcb.local.port == src_port
-                        && pcb.remote == Some(InetAddr::new(dst_ip, dst_port))
-                    {
-                        hit = Some(*id);
-                        break;
-                    }
-                }
-            }
+            // Scan the port's bucket (creation order), not the map.
+            let remote = Some(InetAddr::new(dst_ip, dst_port));
+            let hit = self.by_port.get(&src_port).and_then(|bucket| {
+                bucket.iter().copied().find(|id| {
+                    matches!(
+                        self.socks.get(id).map(|e| &e.state),
+                        Some(SockState::Udp(pcb)) if pcb.remote == remote
+                    )
+                })
+            });
             if let Some(sock) = hit {
                 if let Some(SockEntry {
                     state: SockState::Udp(pcb),
@@ -1948,7 +1948,7 @@ impl NetStack {
             if e.generation != generation {
                 return; // Stale timer across close/migration.
             }
-            e.timers.remove(&kind);
+            e.timers[kind as usize] = None;
             let cpu = s.cpu.clone();
             let mut charge = cpu.borrow_mut().begin(sim.now());
             charge.add_ns(Layer::Other, s.costs.timer_op);
@@ -1968,7 +1968,7 @@ impl NetStack {
             cpu.borrow_mut().finish(charge);
         });
         if let Some(e) = self.socks.get_mut(&sock) {
-            if let Some(old) = e.timers.insert(kind, handle) {
+            if let Some(old) = e.timers[kind as usize].replace(handle) {
                 sim.cancel(old);
             }
             // Charge the timer manipulation to the current path via the

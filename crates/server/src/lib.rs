@@ -24,8 +24,9 @@ pub mod ports;
 pub use netif::{stack_sink, stack_sink_with_busy_report, KernelNetIf, UserNetIf};
 pub use ports::{PortNamespace, Proto, EPHEMERAL_FIRST, EPHEMERAL_LAST};
 
+use psd_sim::hash::HashMap;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::rc::{Rc, Weak};
 
@@ -293,24 +294,24 @@ impl OsServer {
             host_ip,
             server_endpoint,
             ports: PortNamespace::new(),
-            sessions: HashMap::new(),
-            sock_to_session: HashMap::new(),
-            procs: HashMap::new(),
+            sessions: HashMap::default(),
+            sock_to_session: HashMap::default(),
+            procs: HashMap::default(),
             next_session: 1,
             next_proc: 1,
-            pending_connects: HashMap::new(),
-            pending_accepts: HashMap::new(),
-            notify: HashMap::new(),
+            pending_connects: HashMap::default(),
+            pending_accepts: HashMap::default(),
+            notify: HashMap::default(),
             arp_listeners: Vec::new(),
             select_waiters: BTreeMap::new(),
-            select_watchers: HashMap::new(),
+            select_watchers: HashMap::default(),
             select_pending: BTreeSet::new(),
-            by_local_port: HashMap::new(),
+            by_local_port: HashMap::default(),
             next_select: 1,
             down: false,
-            stub_store: HashMap::new(),
-            token_ports: HashMap::new(),
-            token_sessions: HashMap::new(),
+            stub_store: HashMap::default(),
+            token_ports: HashMap::default(),
+            token_sessions: HashMap::default(),
             stats: ServerStats::default(),
         }));
         server.borrow_mut().me = Rc::downgrade(&server);
@@ -1274,8 +1275,8 @@ impl OsServer {
             s.notify.clear();
             s.token_ports.clear();
             s.token_sessions.clear();
-            // Abort in session order: iteration order of the map is
-            // not deterministic across runs, and aborts emit frames.
+            // Abort in session order: aborts emit frames, so map
+            // order must not pick it.
             let mut socks: Vec<(SessionId, SockId)> = s
                 .sessions
                 .iter()

@@ -6,7 +6,8 @@
 //! long-lived shared state owned by the server, never by applications.
 
 use psd_netstack::SocketError;
-use std::collections::{BTreeSet, HashSet};
+use psd_sim::hash::HashSet;
+use std::collections::BTreeSet;
 
 /// First ephemeral port (BSD `IPPORT_RESERVED`).
 pub const EPHEMERAL_FIRST: u16 = 1024;
@@ -44,7 +45,7 @@ impl PortNamespace {
     pub fn new() -> PortNamespace {
         let all: BTreeSet<u16> = (EPHEMERAL_FIRST..=EPHEMERAL_LAST).collect();
         PortNamespace {
-            used: HashSet::new(),
+            used: HashSet::default(),
             free_tcp: all.clone(),
             free_udp: all,
             next_ephemeral: EPHEMERAL_FIRST,
@@ -152,7 +153,7 @@ mod tests {
     #[test]
     fn ephemeral_ports_unique_and_in_range() {
         let mut p = PortNamespace::new();
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         for _ in 0..100 {
             let port = p.alloc_ephemeral(Proto::Udp).unwrap();
             assert!((EPHEMERAL_FIRST..=EPHEMERAL_LAST).contains(&port));

@@ -17,6 +17,8 @@
 //! checked by `tests/engine_equivalence.rs`), so same-seed runs are
 //! byte-identical across the rework.
 
+use std::num::NonZeroU64;
+
 use crate::metrics::MetricsHandle;
 use crate::rng::Rng;
 use crate::smallfn::SmallFn;
@@ -25,21 +27,24 @@ use crate::wheel::{TimerWheel, WheelStats};
 
 /// A handle to a scheduled event, usable to cancel it (e.g. TCP timers).
 ///
-/// Internally `(generation << 32) | slab_index`. The generation is
-/// bumped every time the slab slot is reclaimed, so a handle kept after
-/// its event fired (or was cancelled) goes permanently stale: it can
-/// never cancel an unrelated event that later reuses the slot, and
-/// cancelling it costs nothing and stores nothing.
+/// Internally `(generation << 32) | (slab_index + 1)`: never zero, so
+/// `Option<SimHandle>` is one word. The generation is bumped every time
+/// the slab slot is reclaimed, so a handle kept after its event fired
+/// (or was cancelled) goes permanently stale: it can never cancel an
+/// unrelated event that later reuses the slot, and cancelling it costs
+/// nothing and stores nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct SimHandle(u64);
+pub struct SimHandle(NonZeroU64);
 
 impl SimHandle {
     fn new(idx: u32, gen: u32) -> SimHandle {
-        SimHandle(((gen as u64) << 32) | idx as u64)
+        let low = u64::from(idx) + 1; // the wheel keeps idx below u32::MAX
+        SimHandle(NonZeroU64::new(((gen as u64) << 32) | low).expect("low word is nonzero"))
     }
 
     fn parts(self) -> (u32, u32) {
-        (self.0 as u32, (self.0 >> 32) as u32)
+        let v = self.0.get();
+        (v as u32 - 1, (v >> 32) as u32)
     }
 }
 
@@ -324,6 +329,16 @@ mod tests {
         });
         sim.run_to_idle();
         assert_eq!(*when.borrow(), SimTime::from_micros(10));
+    }
+
+    #[test]
+    fn optional_handle_is_one_word() {
+        // A TCB keeps one per timer kind; a stack holds thousands.
+        assert_eq!(std::mem::size_of::<Option<SimHandle>>(), 8);
+        let h = SimHandle::new(0, 0);
+        assert_eq!(h.parts(), (0, 0));
+        let h = SimHandle::new(u32::MAX - 3, u32::MAX);
+        assert_eq!(h.parts(), (u32::MAX - 3, u32::MAX));
     }
 
     #[test]

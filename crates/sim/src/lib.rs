@@ -27,6 +27,7 @@ pub mod cost;
 pub mod cpu;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod layer;
 pub mod metrics;
 pub mod profile;

@@ -11,8 +11,10 @@
 //!
 //! - **Slab entries.** Every scheduled event lives in a fixed slot of a
 //!   grow-only `Vec<Node>`; freed slots go on a free list and are
-//!   reused. Steady-state scheduling does no per-event heap traffic
-//!   (closures are stored inline via [`SmallFn`]).
+//!   reused. Each bucket is a doubly linked list threaded through the
+//!   slab, so the wheel allocates only when the slab grows, and
+//!   steady-state scheduling does no per-event heap traffic (closures
+//!   are stored inline via [`SmallFn`]).
 //! - **Generation-tagged handles.** Each slab slot carries a generation
 //!   counter bumped on free. A handle names `(slot, generation)`, so a
 //!   stale handle — fired, cancelled, or reused — can never touch a
@@ -22,9 +24,10 @@
 //! - **Hierarchical wheel.** [`LEVELS`] levels of 64 slots each cover
 //!   the full `u64` nanosecond range (6 bits per level). An entry is
 //!   filed at the level of the highest bit in which its expiry differs
-//!   from the wheel's current time; expiring higher-level slots cascade
-//!   their entries down. Insert and cancel are O(1); pop is O(1)
-//!   amortized with an O([`LEVELS`]) bitmap scan worst case.
+//!   from the wheel's current time. Insert and cancel are O(1). A pop
+//!   is one O([`LEVELS`]) bitmap scan for the earliest occupied bucket:
+//!   a lone entry there is popped directly at any level, and only a
+//!   bucket holding several entries cascades them to lower levels.
 //!
 //! # Ordering invariant
 //!
@@ -34,18 +37,25 @@
 //!
 //! 1. All pending entries satisfy `when >= elapsed` (insertions are
 //!    clamped to the current time upstream, and `elapsed` only advances
-//!    to the start of the earliest occupied slot).
+//!    to the start of the earliest occupied slot or to the expiry of
+//!    the entry it pops).
 //! 2. An entry sits at level 0 iff its expiry lies in the same 64-tick
 //!    aligned block as `elapsed`; within that block, the slot index *is*
 //!    the expiry. Hence at any instant, all entries in one level-0 slot
 //!    share a single expiry time.
-//! 3. Level-0 slots therefore only need `seq` order, which is restored
-//!    by one `sort_unstable` when the slot is drained into the current
-//!    batch (cascading can interleave entries out of schedule order;
-//!    direct inserts alone would already be sorted).
-//! 4. Any entry at level k ≥ 1 expires strictly after every entry at a
+//! 3. Any entry at level k ≥ 1 expires strictly after every entry at a
 //!    lower level, so scanning levels bottom-up finds the global
-//!    earliest slot.
+//!    earliest bucket; entries with equal expiry always share a bucket.
+//! 4. If that bucket holds one entry, it is the unique global minimum:
+//!    it pops directly and `elapsed` moves to its expiry. `elapsed`
+//!    then lies between its old value and every pending expiry, so
+//!    each pending entry keeps the high-bit prefix it shares with
+//!    `elapsed` — its level and slot, and every level's slot base, are
+//!    unchanged. A bucket of several entries at level k ≥ 1 cascades
+//!    (each re-files strictly lower); at level 0 they share one expiry
+//!    and only need `seq` order, restored by one `sort_unstable` as the
+//!    slot is drained into the current batch (cascading can interleave
+//!    entries out of schedule order).
 //!
 //! The equivalence suite (`tests/engine_equivalence.rs`) checks this
 //! order against a retained copy of the old heap implementation
@@ -62,27 +72,29 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// Levels needed so `LEVELS * SLOT_BITS >= 64` covers any u64 delta.
 const LEVELS: usize = 11;
 
-/// Bucket marker for a node currently in the drain batch rather than a
-/// wheel slot (it cannot be detached in place; cancel flags it instead).
-const IN_BATCH: u32 = u32::MAX;
+/// End of a bucket list.
+const NIL: u32 = u32::MAX;
+/// [`Node::at`] of a free slab slot.
+const FREE: u32 = u32::MAX;
+/// [`Node::at`] of a node in the drain batch rather than a bucket (it
+/// cannot be detached in place; cancel marks it instead).
+const IN_BATCH: u32 = u32::MAX - 1;
+/// [`Node::at`] of a node cancelled while in the batch: it must not be
+/// reused until the batch reaches it and frees it.
+const CANCELLED: u32 = u32::MAX - 2;
 
-/// One slab entry. 'Free' is encoded as `f == None && !pending`; the
-/// `pending` flag distinguishes a cancelled-but-still-batched node
-/// (which must not be reused yet) from a free one.
+/// One slab entry, linked into its bucket's list.
 struct Node {
     /// Bumped every time the slot is freed; handles carry the value they
     /// were created under.
     gen: u32,
-    /// True while the node is filed in a wheel slot or the current batch.
-    pending: bool,
-    /// True if the node was cancelled while sitting in the batch; it is
-    /// skipped and freed when the batch reaches it.
-    cancelled: bool,
     /// The flattened `level * SLOTS + slot` bucket holding this node, or
-    /// [`IN_BATCH`]. Lets cancel detach the node in O(1).
-    bucket: u32,
-    /// This node's index within its bucket's list.
-    pos: u32,
+    /// [`IN_BATCH`], [`CANCELLED`] or [`FREE`].
+    at: u32,
+    /// Neighbours in the bucket list ([`NIL`] at either end), so cancel
+    /// detaches the node in O(1).
+    prev: u32,
+    next: u32,
     /// Absolute expiry in nanoseconds.
     when: u64,
     /// Global schedule order, the tie-breaker at equal `when`.
@@ -92,7 +104,8 @@ struct Node {
     f: Option<SmallFn>,
 }
 
-/// Queue-side memory diagnostics, for the leak regression tests.
+/// Queue-side diagnostics: memory, for the leak regression tests, and
+/// cascade work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WheelStats {
     /// Live (schedulable) entries.
@@ -105,11 +118,13 @@ pub struct WheelStats {
     pub slab_slots: usize,
     /// Slab slots currently on the free list.
     pub free_slots: usize,
+    /// Entries re-filed to a lower level by a cascade, since creation.
+    pub cascaded: u64,
 }
 
 pub(crate) struct TimerWheel {
-    /// `LEVELS * SLOTS` buckets of slab indices, flattened.
-    slots: Vec<Vec<u32>>,
+    /// Head node of each `level * SLOTS + slot` bucket, or [`NIL`].
+    heads: Vec<u32>,
     /// Per-level bitmap of non-empty buckets.
     occupied: [u64; LEVELS],
     /// Wheel time: never exceeds the expiry of any pending entry.
@@ -118,6 +133,8 @@ pub(crate) struct TimerWheel {
     free: Vec<u32>,
     live: usize,
     cancelled_pending: usize,
+    /// Entries re-filed by cascades (a [`WheelStats`] diagnostic).
+    cascaded: u64,
     /// The level-0 slot currently being drained, in `seq` order. All
     /// entries in it share one expiry time.
     batch: VecDeque<u32>,
@@ -126,13 +143,14 @@ pub(crate) struct TimerWheel {
 impl TimerWheel {
     pub fn new() -> TimerWheel {
         TimerWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; LEVELS * SLOTS],
             occupied: [0; LEVELS],
             elapsed: 0,
             nodes: Vec::new(),
             free: Vec::new(),
             live: 0,
             cancelled_pending: 0,
+            cascaded: 0,
             batch: VecDeque::new(),
         }
     }
@@ -161,8 +179,6 @@ impl TimerWheel {
         let idx = match self.free.pop() {
             Some(idx) => {
                 let n = &mut self.nodes[idx as usize];
-                n.pending = true;
-                n.cancelled = false;
                 n.when = when;
                 n.seq = seq;
                 n.f = Some(f);
@@ -170,12 +186,12 @@ impl TimerWheel {
             }
             None => {
                 let idx = u32::try_from(self.nodes.len()).expect("slab overflow");
+                assert!(idx < CANCELLED, "slab overflow");
                 self.nodes.push(Node {
                     gen: 0,
-                    pending: true,
-                    cancelled: false,
-                    bucket: 0,
-                    pos: 0,
+                    at: FREE,
+                    prev: NIL,
+                    next: NIL,
                     when,
                     seq,
                     f: Some(f),
@@ -194,34 +210,34 @@ impl TimerWheel {
     /// Cancels `(idx, gen)`. Returns true if a live event was cancelled;
     /// stale handles (fired, cancelled, or reused slots) are no-ops.
     ///
-    /// A slot-filed entry is detached from its bucket immediately — an
-    /// O(1) `swap_remove` — so cancelled timers cost nothing to cascade
-    /// or sweep past later. Only an entry already pulled into the drain
-    /// batch is flagged instead (the batch is consumed front-to-back and
-    /// skips it).
+    /// A slot-filed entry is unlinked from its bucket immediately, in
+    /// O(1), so cancelled timers cost nothing to cascade or sweep past
+    /// later. Only an entry already pulled into the drain batch is
+    /// marked instead (the batch is consumed front-to-back and skips
+    /// it).
     pub fn cancel(&mut self, idx: u32, gen: u32) -> bool {
-        match self.nodes.get_mut(idx as usize) {
-            Some(n) if n.gen == gen && n.pending && !n.cancelled => {}
+        let n = match self.nodes.get_mut(idx as usize) {
+            Some(n) if n.gen == gen && n.at != FREE && n.at != CANCELLED => n,
             _ => return false,
-        }
-        self.live -= 1;
-        let n = &mut self.nodes[idx as usize];
+        };
         n.f = None; // release captures immediately
-        let bucket = n.bucket as usize;
-        if n.bucket == IN_BATCH {
-            n.cancelled = true;
+        self.live -= 1;
+        if n.at == IN_BATCH {
+            n.at = CANCELLED;
             self.cancelled_pending += 1;
             return true;
         }
-        let pos = n.pos as usize;
-        let list = &mut self.slots[bucket];
-        debug_assert_eq!(list[pos], idx);
-        list.swap_remove(pos);
-        if let Some(&moved) = list.get(pos) {
-            self.nodes[moved as usize].pos = pos as u32;
+        let (bucket, prev, next) = (n.at as usize, n.prev, n.next);
+        if prev == NIL {
+            self.heads[bucket] = next;
+            if next == NIL {
+                self.occupied[bucket / SLOTS] &= !(1u64 << (bucket % SLOTS));
+            }
+        } else {
+            self.nodes[prev as usize].next = next;
         }
-        if self.slots[bucket].is_empty() {
-            self.occupied[bucket / SLOTS] &= !(1u64 << (bucket % SLOTS));
+        if next != NIL {
+            self.nodes[next as usize].prev = prev;
         }
         self.release(idx);
         true
@@ -234,7 +250,7 @@ impl TimerWheel {
             // Drain the current same-instant batch first.
             while let Some(&idx) = self.batch.front() {
                 let n = &mut self.nodes[idx as usize];
-                let cancelled = n.cancelled;
+                let cancelled = n.at == CANCELLED;
                 if !cancelled && n.when > horizon {
                     return None;
                 }
@@ -258,49 +274,61 @@ impl TimerWheel {
                 .enumerate()
                 .find(|(_, bm)| **bm != 0)
                 .map(|(l, bm)| (l, bm.trailing_zeros() as usize))?;
+            let bucket = level * SLOTS + slot;
+            let head = self.heads[bucket];
+            if self.nodes[head as usize].next == NIL {
+                // Direct pop: a lone entry in the earliest bucket is the
+                // global minimum at any level, and no other entry shares
+                // its expiry (equal expiries always share a bucket).
+                // Moving `elapsed` up to it keeps every other entry's
+                // level and slot (see the module docs), so it needs no
+                // cascade.
+                let when = self.nodes[head as usize].when;
+                debug_assert!(when >= self.elapsed, "wheel scanned backwards");
+                if when > horizon {
+                    return None;
+                }
+                self.heads[bucket] = NIL;
+                self.occupied[level] &= !(1u64 << slot);
+                self.elapsed = when;
+                let f = self.nodes[head as usize].f.take();
+                self.live -= 1;
+                self.release(head);
+                return Some((when, f.expect("live entry has a body")));
+            }
             let start = self.slot_start(level, slot);
             debug_assert!(start >= self.elapsed, "wheel scanned backwards");
             if start > horizon {
                 return None;
             }
-            let mut list = std::mem::take(&mut self.slots[level * SLOTS + slot]);
+            self.heads[bucket] = NIL;
             self.occupied[level] &= !(1u64 << slot);
             self.elapsed = start;
+            let mut idx = head;
             if level == 0 {
-                // Steady-state fast path: a lone entry needs no seq
-                // sort and never touches the batch. Its expiry equals
-                // the slot start (level-0 invariant), already known to
-                // be within the horizon, and slot-filed entries are
-                // never cancelled (cancel detaches them eagerly).
-                if list.len() == 1 {
-                    let idx = list[0];
-                    list.clear();
-                    self.slots[slot] = list;
+                // One expiry instant; restore schedule order (list order
+                // is not schedule order).
+                while idx != NIL {
                     let n = &mut self.nodes[idx as usize];
-                    debug_assert_eq!(n.when, start);
-                    debug_assert!(!n.cancelled);
-                    let f = n.f.take();
-                    self.live -= 1;
-                    self.release(idx);
-                    return Some((start, f.expect("live entry has a body")));
+                    n.at = IN_BATCH;
+                    self.batch.push_back(idx);
+                    idx = n.next;
                 }
-                // One expiry instant; restore schedule order (cascades
-                // may have interleaved entries).
-                list.sort_unstable_by_key(|&i| self.nodes[i as usize].seq);
-                for &idx in &list {
-                    self.nodes[idx as usize].bucket = IN_BATCH;
-                }
-                self.batch.extend(list.drain(..));
+                let nodes = &self.nodes;
+                self.batch
+                    .make_contiguous()
+                    .sort_unstable_by_key(|&i| nodes[i as usize].seq);
             } else {
                 // Cascade: with `elapsed` now at the slot start, every
                 // entry re-files at a strictly lower level.
-                for idx in list.drain(..) {
-                    let when = self.nodes[idx as usize].when;
+                while idx != NIL {
+                    let n = &self.nodes[idx as usize];
+                    let (next, when) = (n.next, n.when);
                     self.file(idx, when);
+                    self.cascaded += 1;
+                    idx = next;
                 }
             }
-            // Hand the (empty) bucket back so its capacity is reused.
-            self.slots[level * SLOTS + slot] = list;
         }
     }
 
@@ -320,10 +348,11 @@ impl TimerWheel {
             cancelled_pending: self.cancelled_pending,
             slab_slots: self.nodes.len(),
             free_slots: self.free.len(),
+            cascaded: self.cascaded,
         }
     }
 
-    /// Files node `idx` (expiry `when`) into the wheel.
+    /// Files node `idx` (expiry `when`) at the head of its bucket.
     #[inline]
     fn file(&mut self, idx: u32, when: u64) {
         let masked = when ^ self.elapsed;
@@ -334,11 +363,15 @@ impl TimerWheel {
         };
         let slot = ((when >> (SLOT_BITS * level)) & (SLOTS as u64 - 1)) as usize;
         let bucket = level * SLOTS + slot;
-        let list = &mut self.slots[bucket];
+        let head = self.heads[bucket];
+        if head != NIL {
+            self.nodes[head as usize].prev = idx;
+        }
         let n = &mut self.nodes[idx as usize];
-        n.bucket = bucket as u32;
-        n.pos = list.len() as u32;
-        list.push(idx);
+        n.at = bucket as u32;
+        n.prev = NIL;
+        n.next = head;
+        self.heads[bucket] = idx;
         self.occupied[level] |= 1u64 << slot;
     }
 
@@ -358,9 +391,8 @@ impl TimerWheel {
     #[inline]
     fn release(&mut self, idx: u32) {
         let n = &mut self.nodes[idx as usize];
-        debug_assert!(n.pending);
-        n.pending = false;
-        n.cancelled = false;
+        debug_assert!(n.at != FREE);
+        n.at = FREE;
         n.f = None;
         n.gen = n.gen.wrapping_add(1);
         self.free.push(idx);
@@ -406,6 +438,46 @@ mod tests {
         assert_eq!(w.live(), 1);
         let (when, _) = w.pop_due(1000).unwrap();
         assert_eq!(when, 1000);
+    }
+
+    #[test]
+    fn lone_high_level_entry_pops_at_its_exact_time() {
+        let mut w = TimerWheel::new();
+        // 100 000 ns differs from time 0 in bit 16: a level-2 entry.
+        w.insert(100_000, 0, noop());
+        w.insert(1 << 30, 1, noop());
+        let (when, _) = w.pop_due(u64::MAX).unwrap();
+        assert_eq!(when, 100_000);
+        assert_eq!(w.stats().cascaded, 0, "a lone entry pops without cascading");
+        assert_eq!(w.live(), 1);
+    }
+
+    #[test]
+    fn insert_at_the_popped_instant_runs_after_it() {
+        let mut w = TimerWheel::new();
+        w.insert(100_000, 0, noop());
+        w.insert(100_001, 1, noop());
+        assert_eq!(w.pop_due(u64::MAX).unwrap().0, 100_000);
+        // Scheduled from inside the popped event: same instant, later seq.
+        w.insert(100_000, 2, noop());
+        assert_eq!(w.pop_due(u64::MAX).unwrap().0, 100_000);
+        assert_eq!(w.pop_due(u64::MAX).unwrap().0, 100_001);
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn horizon_inside_a_lone_entrys_slot_leaves_it_live() {
+        let mut w = TimerWheel::new();
+        w.insert(100_000, 0, noop());
+        // The entry's level-2 slot starts at 98 304; cut inside it.
+        assert!(w.pop_due(98_304).is_none());
+        assert!(w.pop_due(99_999).is_none());
+        assert_eq!(w.live(), 1);
+        // An entry inserted meanwhile before it still runs first.
+        w.insert(99_000, 1, noop());
+        assert_eq!(w.pop_due(u64::MAX).unwrap().0, 99_000);
+        assert_eq!(w.pop_due(100_000).unwrap().0, 100_000);
+        assert!(w.is_empty());
     }
 
     #[test]
