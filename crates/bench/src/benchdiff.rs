@@ -1,8 +1,8 @@
 //! Perf-trajectory tooling over committed `BENCH_*.json` artifacts.
 //!
 //! `benchdiff` turns two or more benchmark artifacts of the same kind
-//! into a per-metric delta report, and subsumes the three hand-rolled
-//! per-artifact CI regression gates behind one entry point:
+//! into a per-metric delta report, and is the one regression gate for
+//! every benchmark artifact:
 //!
 //! - selfbench (`BENCH_6.json`): the wheel engine's events/sec at
 //!   65 536 timers must not fall more than `tolerance` below the
@@ -17,12 +17,10 @@
 //!
 //! The thresholds and cells are exactly the ones the retired
 //! `--check-baseline` flags of `selfbench`, `filterbench`, and `table6`
-//! enforced (see `selfbench::check_against_baseline` and friends, which
-//! remain the in-process versions); unit tests below hold the two
-//! formulations to identical verdicts. The difference is operational:
-//! those gates compare a *fresh in-process run* against the committed
-//! artifact, while `benchdiff` compares *artifact against artifact*, so
-//! one binary can gate any number of benchmarks after the fact.
+//! enforced (and `filterbench --min-speedup` for the floor); the
+//! `*_gate_parity` tests below pin those verdicts. The gate compares
+//! *artifact against artifact*, so one binary gates any number of
+//! benchmarks after the fact.
 //!
 //! Metric extraction is deterministic: metrics appear in artifact
 //! order, named by the identifying members of their row (e.g.
@@ -490,7 +488,7 @@ mod tests {
     // Verdict parity with the retired per-binary gates: identical and
     // mildly-perturbed artifacts pass at the 20% tolerance the CI jobs
     // used; perturbations past the threshold fail, in the same
-    // direction each binary's check_against_baseline enforced.
+    // direction each binary's retired --check-baseline enforced.
 
     #[test]
     fn selfbench_gate_parity() {

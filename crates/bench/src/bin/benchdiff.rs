@@ -10,180 +10,114 @@
 //! The first form prints a per-metric delta table between consecutive
 //! artifacts (a trajectory when given the same benchmark's artifacts
 //! over time); `--json`/`--report` write the machine/text reports for
-//! the final pair. The second form is the CI regression gate: it
-//! reproduces the cell-for-cell verdicts of the retired
-//! `selfbench/filterbench/table6 --check-baseline` flags — one binary,
-//! one exit code, any benchmark kind. The third form schema-validates
-//! a single artifact and exits.
-
-use std::process::ExitCode;
+//! the final pair. The second form is the one CI regression gate for
+//! every benchmark artifact: one binary, one exit code, any benchmark
+//! kind. The third form is the one schema check: it validates a
+//! single artifact and exits. A failed gate or check exits 1; a
+//! malformed command line exits 2.
 
 use psd_bench::benchdiff;
+use psd_bench::cli::{self, Cli, Error};
 use psd_bench::json::{validate, Json};
+use psd_bench::observe::write_artifact;
 
-fn read_artifact(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+const CLI: Cli = Cli {
+    bin: "benchdiff",
+    switches: &["--check", "--validate"],
+    values: &[
+        "--schema FILE",
+        "--tolerance X",
+        "--min-speedup X",
+        "--json PATH",
+        "--report PATH",
+    ],
+    synopsis: Some(
+        "usage: benchdiff FILE FILE... [--tolerance X] [--json PATH] [--report PATH]\n       \
+         benchdiff --check BASELINE MEASURED [--tolerance X] [--min-speedup X]\n       \
+         benchdiff --validate FILE --schema FILE",
+    ),
+};
+
+fn read_artifact(path: &str) -> cli::Result<Json> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Error::Failed(format!("cannot read {path}: {e}")))?;
+    Json::parse(&text).map_err(|e| Error::Failed(format!("cannot parse {path}: {e}")))
 }
 
-fn main() -> ExitCode {
-    let mut files: Vec<String> = Vec::new();
-    let mut tolerance = 0.2;
-    let mut min_speedup: Option<f64> = None;
-    let mut check = false;
-    let mut validate_mode = false;
-    let mut schema_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut report_path: Option<String> = None;
+fn main() -> std::process::ExitCode {
+    CLI.run(run)
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--validate" => validate_mode = true,
-            "--schema" => schema_path = args.next(),
-            "--json" => json_path = args.next(),
-            "--report" => report_path = args.next(),
-            "--tolerance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => tolerance = t,
-                None => {
-                    eprintln!("benchdiff: --tolerance needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--min-speedup" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) => min_speedup = Some(s),
-                None => {
-                    eprintln!("benchdiff: --min-speedup needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "usage: benchdiff FILE FILE... [--tolerance X] [--json PATH] [--report PATH]\n\
-                     \x20      benchdiff --check BASELINE MEASURED [--tolerance X] [--min-speedup X]\n\
-                     \x20      benchdiff --validate FILE --schema FILE"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("benchdiff: unknown argument '{other}'");
-                return ExitCode::FAILURE;
-            }
-            file => files.push(file.to_string()),
-        }
+fn run(args: &cli::Args) -> cli::Result<()> {
+    let files = args.positional();
+    let tolerance = args.num("--tolerance", 0.2)?;
+    let min_speedup = args.num_opt("--min-speedup")?;
+
+    if args.flag("--validate") && args.flag("--check") {
+        return Err(Error::Usage(
+            "--check and --validate are separate forms".into(),
+        ));
     }
-
-    if validate_mode {
-        let (Some(file), Some(schema_file)) = (files.first(), &schema_path) else {
-            eprintln!("benchdiff: --validate needs FILE and --schema FILE");
-            return ExitCode::FAILURE;
+    if args.flag("--validate") {
+        let ([file], Some(schema_file)) = (files, args.value("--schema")) else {
+            return Err(Error::Usage(
+                "--validate needs one FILE and --schema FILE".into(),
+            ));
         };
-        let artifact = match read_artifact(file) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("benchdiff: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let schema = match read_artifact(schema_file) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("benchdiff: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate(&artifact, &schema) {
+        return match validate(&read_artifact(file)?, &read_artifact(schema_file)?) {
             Ok(()) => {
                 println!("benchdiff: {file} validates against {schema_file}");
-                ExitCode::SUCCESS
+                Ok(())
             }
-            Err(e) => {
-                eprintln!("benchdiff: {file} violates {schema_file}: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => Err(Error::Failed(format!("{file} violates {schema_file}: {e}"))),
         };
+    }
+
+    if args.flag("--check") {
+        let [baseline, measured] = files else {
+            return Err(Error::Usage(
+                "--check takes exactly BASELINE and MEASURED".into(),
+            ));
+        };
+        let lines = benchdiff::check(
+            &read_artifact(baseline)?,
+            &read_artifact(measured)?,
+            tolerance,
+            min_speedup,
+        )
+        .map_err(|e| Error::Failed(format!("GATE FAILED — {e}")))?;
+        for line in lines {
+            println!("benchdiff: gate ok — {line}");
+        }
+        return Ok(());
     }
 
     if files.len() < 2 {
-        eprintln!("benchdiff: need at least two artifacts (see --help)");
-        return ExitCode::FAILURE;
+        return Err(Error::Usage("need at least two artifacts".into()));
     }
-
-    if check {
-        if files.len() != 2 {
-            eprintln!("benchdiff: --check takes exactly BASELINE and MEASURED");
-            return ExitCode::FAILURE;
-        }
-        let (baseline, measured) = match (read_artifact(&files[0]), read_artifact(&files[1])) {
-            (Ok(b), Ok(m)) => (b, m),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("benchdiff: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match benchdiff::check(&baseline, &measured, tolerance, min_speedup) {
-            Ok(lines) => {
-                for line in lines {
-                    println!("benchdiff: gate ok — {line}");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("benchdiff: GATE FAILED — {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     // Trajectory: consecutive pairwise deltas; reports cover the final
     // pair (typically "previous committed" vs "this run").
-    let mut artifacts = Vec::new();
-    for file in &files {
-        match read_artifact(file) {
-            Ok(v) => artifacts.push(v),
-            Err(e) => {
-                eprintln!("benchdiff: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let artifacts = files
+        .iter()
+        .map(|f| read_artifact(f))
+        .collect::<cli::Result<Vec<Json>>>()?;
     let mut regressed = false;
     let mut last_reports: Option<(String, Json)> = None;
-    for pair in artifacts.windows(2).zip(files.windows(2)) {
-        let ((base, new), (base_file, new_file)) = (
-            (&pair.0[0], &pair.0[1]),
-            (pair.1[0].as_str(), pair.1[1].as_str()),
-        );
-        let deltas = match benchdiff::diff(base, new) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("benchdiff: {base_file} -> {new_file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    for (pair, names) in artifacts.windows(2).zip(files.windows(2)) {
+        let labels = (names[0].as_str(), names[1].as_str());
+        let deltas = benchdiff::diff(&pair[0], &pair[1])
+            .map_err(|e| Error::Failed(format!("{} -> {}: {e}", labels.0, labels.1)))?;
         regressed |= deltas.iter().any(|d| d.regressed(tolerance));
-        let text = benchdiff::report_text(&deltas, (base_file, new_file), tolerance);
+        let text = benchdiff::report_text(&deltas, labels, tolerance);
         print!("{text}");
-        last_reports = Some((
-            text,
-            benchdiff::report_json(&deltas, (base_file, new_file), tolerance),
-        ));
+        last_reports = Some((text, benchdiff::report_json(&deltas, labels, tolerance)));
     }
     if let Some((text, doc)) = last_reports {
-        if let Some(path) = &report_path {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("benchdiff: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("benchdiff: wrote report to {path}");
+        if let Some(path) = args.value("--report") {
+            write_artifact("benchdiff", "report", path, &text)?;
         }
-        if let Some(path) = &json_path {
-            if let Err(e) = std::fs::write(path, doc.write()) {
-                eprintln!("benchdiff: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("benchdiff: wrote JSON report to {path}");
+        if let Some(path) = args.value("--json") {
+            write_artifact("benchdiff", "JSON report", path, &doc.write())?;
         }
     }
     if regressed {
@@ -193,5 +127,5 @@ fn main() -> ExitCode {
             tolerance * 100.0
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

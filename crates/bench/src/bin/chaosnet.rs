@@ -7,8 +7,11 @@
 //! byte counts, per-segment Ethernet stats and drop taxonomies,
 //! switch/router stats, and both fault-plane logs.
 //!
-//! Usage: `cargo run --release -p psd-bench --bin chaosnet [--seed N]
-//! [--config LABEL] [--metrics-out PATH]`
+//! Usage: `cargo run --release -p psd-bench --bin chaosnet -- [--seed N]
+//! [--config NAME] [--metrics-out PATH]`
+//!
+//! `--config` takes the same spellings as `ttcp` (a short name or the
+//! paper's row label); the default is Library-SHM.
 //!
 //! Everything on stdout is deterministic: two runs with the same
 //! arguments must be byte-identical. CI runs the bin twice and
@@ -17,9 +20,11 @@
 //! middle-link port — ring occupancy, TCP cwnd/ssthresh/RTO, mbuf pool
 //! hit/miss, session counts), samples it every 100 virtual
 //! milliseconds, and writes the timeseries JSON. Sampling never
-//! charges time or
-//! consumes randomness, so stdout stays byte-identical either way.
+//! charges time or consumes randomness, so stdout stays byte-identical
+//! either way.
 
+use psd_bench::cli::{self, Cli};
+use psd_bench::Observe;
 use psd_core::{AppLib, Fd, FdEventFn};
 use psd_netstack::{InetAddr, SockEvent, SocketError};
 use psd_server::Proto;
@@ -31,33 +36,26 @@ use std::rc::Rc;
 const PATTERN_LEN: usize = 20 * 1024;
 const CHUNK: usize = 256;
 
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+const CLI: Cli = Cli {
+    bin: "chaosnet",
+    switches: &[],
+    values: &["--seed N", "--config NAME", "--metrics-out PATH"],
+    synopsis: None,
+};
+
+fn main() -> std::process::ExitCode {
+    CLI.run(run)
 }
 
-fn main() {
-    let seed: u64 = flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(7);
-    let config = match flag_value("--config").as_deref() {
-        None => SystemConfig::LibraryShm,
-        Some(label) => SystemConfig::for_platform(Platform::DecStation5000_200)
-            .into_iter()
-            .find(|c| c.label() == label)
-            .expect("unknown --config label"),
-    };
-
-    let metrics_out = flag_value("--metrics-out");
+fn run(args: &cli::Args) -> cli::Result<()> {
+    let seed = args.num("--seed", 7)?;
+    let config = args.config(SystemConfig::LibraryShm)?;
+    let mut obs = Observe::from_args(args, "chaosnet", seed);
 
     let mut bed = MultiHopBed::new(config, Platform::DecStation5000_200, seed);
     // The chaos run covers ~2 virtual minutes; 100 ms sampling keeps
     // the timeseries artifact at ~1.3k rows instead of ~130k.
-    let metrics = metrics_out
-        .is_some()
-        .then(|| bed.attach_metrics(SimTime::from_millis(100)));
+    obs.watch_metrics(|| bed.attach_metrics(SimTime::from_millis(100)));
     let plane = bed.attach_fault_plane();
     {
         let mut p = plane.borrow_mut();
@@ -226,9 +224,5 @@ fn main() {
     println!("plane:\n{}", plane.borrow().snapshot());
     println!("partition:\n{}", partition.borrow().snapshot());
 
-    if let (Some(path), Some(metrics)) = (&metrics_out, &metrics) {
-        let doc = psd_bench::observe::metrics_json("chaosnet", seed, metrics);
-        std::fs::write(path, doc.write()).expect("write metrics json");
-        eprintln!("wrote metrics timeseries to {path}");
-    }
+    obs.finish()
 }

@@ -5,38 +5,44 @@
 //!   cargo run --release -p psd-bench --bin protolat -- \
 //!       [--config library-shm-ipf] [--platform decstation] \
 //!       [--proto udp] [--size 1] [--rounds 200] [--newapi]
+//!
+//! `--config` and `--platform` take the same spellings as `ttcp`;
+//! `--proto` takes `udp` or `tcp`.
 
+use psd_bench::cli::{self, Cli};
 use psd_bench::{protolat, ApiStyle};
 use psd_server::Proto;
 use psd_sim::Platform;
 use psd_systems::{SystemConfig, TestBed};
 
-fn arg(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
+const CLI: Cli = Cli {
+    bin: "protolat",
+    switches: &["--newapi"],
+    values: &[
+        "--config NAME",
+        "--platform NAME",
+        "--proto udp|tcp",
+        "--size BYTES",
+        "--rounds N",
+    ],
+    synopsis: None,
+};
+
+fn main() -> std::process::ExitCode {
+    CLI.run(run)
 }
 
-fn main() {
-    let config = match arg("--config").as_deref() {
-        Some("mach25") | Some("in-kernel") => SystemConfig::Mach25InKernel,
-        Some("ultrix") => SystemConfig::Ultrix42InKernel,
-        Some("386bsd") => SystemConfig::Bsd386InKernel,
-        Some("ux") | Some("server") => SystemConfig::UxServer,
-        Some("bnr2ss") => SystemConfig::Bnr2ssServer,
-        Some("library-ipc") => SystemConfig::LibraryIpc,
-        Some("library-shm") => SystemConfig::LibraryShm,
-        _ => SystemConfig::LibraryShmIpf,
-    };
-    let platform = match arg("--platform").as_deref() {
-        Some("gateway") | Some("i486") => Platform::Gateway486,
-        _ => Platform::DecStation5000_200,
-    };
-    let proto = match arg("--proto").as_deref() {
-        Some("tcp") => Proto::Tcp,
-        _ => Proto::Udp,
-    };
-    let size: usize = arg("--size").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let rounds: u32 = arg("--rounds").and_then(|v| v.parse().ok()).unwrap_or(200);
-    let api = if std::env::args().any(|a| a == "--newapi") {
+fn run(args: &cli::Args) -> cli::Result<()> {
+    let config = args.config(SystemConfig::LibraryShmIpf)?;
+    let platform = args.platform(Platform::DecStation5000_200)?;
+    let proto = args.choice(
+        "--proto",
+        &[("udp", Proto::Udp), ("tcp", Proto::Tcp)],
+        Proto::Udp,
+    )?;
+    let size: usize = args.num("--size", 1)?;
+    let rounds: u32 = args.num("--rounds", 200)?;
+    let api = if args.flag("--newapi") {
         ApiStyle::Newapi
     } else {
         ApiStyle::Classic
@@ -52,4 +58,5 @@ fn main() {
         r.rtt.as_millis_f64()
     );
     println!("protolat: {} on {}", config.label(), platform.label());
+    Ok(())
 }

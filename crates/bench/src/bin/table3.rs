@@ -2,17 +2,28 @@
 //! interface, which shares buffers between the application and the
 //! protocol stack, eliminating the copy at the socket boundary (§4.2).
 //!
-//! Usage: `cargo run --release -p psd-bench --bin table3 [--quick]`
+//! Usage: `cargo run --release -p psd-bench --bin table3 -- [--quick]`
 
+use psd_bench::cli::{self, Cli};
 use psd_bench::tables::{fmt_pair, table3_decstation, TCP_SIZES, UDP_SIZES};
 use psd_bench::{protolat, ttcp, ApiStyle};
 use psd_server::Proto;
 use psd_sim::Platform;
 use psd_systems::{SystemConfig, TestBed};
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (bytes, rounds) = if quick {
+const CLI: Cli = Cli {
+    bin: "table3",
+    switches: &["--quick"],
+    values: &[],
+    synopsis: None,
+};
+
+fn main() -> std::process::ExitCode {
+    CLI.run(run)
+}
+
+fn run(args: &cli::Args) -> cli::Result<()> {
+    let (bytes, rounds) = if args.flag("--quick") {
         (2 << 20, 50)
     } else {
         (16 << 20, 200)
@@ -91,4 +102,5 @@ fn main() {
             paper
         );
     }
+    Ok(())
 }

@@ -9,25 +9,20 @@
 //! per-packet filter cost, the control-RPC latency at full load, and
 //! the virtual-time cost per delivered packet.
 //!
-//! Usage: `cargo run --release -p psd-bench --bin table5 [--quick] [--census]
-//! [--trace-out <path>] [--census-json <path>]`
+//! Usage: `cargo run --release -p psd-bench --bin table5 -- [--quick]
+//! [--filter-engine compiled|interpret] [--census] [--census-json PATH]
+//! [--trace-out PATH] [--profile] [--profile-out PATH]`
 //!
 //! Everything on stdout is deterministic: two runs with the same
 //! arguments are byte-identical (census included). Wall-clock progress
-//! goes to stderr only. `--trace-out` writes a Chrome trace-event JSON
-//! covering every run (one trace process per `(config, strategy, N)`
-//! cell); `--census-json` writes the per-cell receive-host census as
-//! JSON. Neither flag changes the table output.
-//!
-//! `--profile` attaches the charged-time profiler to every cell's
-//! testbed, asserts exact conservation (attributed ns == CPU busy ns,
-//! bit-exact, per host), and prints hot-site tables to stderr;
-//! `--profile-out <path>` writes the collapsed-stack artifact. Both
-//! are charged-time-neutral: stdout is byte-identical either way.
+//! goes to stderr only. The observe flags ([`psd_bench::observe`])
+//! never change the table: each `(config, strategy, N)` cell is one
+//! observe row, and `--census` appends the receiving host's census
+//! totals to the cell's line.
 
-use psd_bench::observe;
-use psd_bench::workload::{session_scaling_observed, ScaleReport, WorkloadSpec};
-use psd_filter::{DemuxStrategy, FilterEngine};
+use psd_bench::cli::{self, Cli};
+use psd_bench::{session_scaling, Observe, ScaleReport, WorkloadSpec};
+use psd_filter::DemuxStrategy;
 use psd_sim::Platform;
 use psd_systems::SystemConfig;
 
@@ -40,37 +35,26 @@ fn strategy_label(s: DemuxStrategy) -> &'static str {
     }
 }
 
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+const CLI: Cli = Cli {
+    bin: "table5",
+    switches: &["--quick", "--census", "--profile"],
+    values: &[
+        "--filter-engine NAME",
+        "--census-json PATH",
+        "--trace-out PATH",
+        "--profile-out PATH",
+    ],
+    synopsis: None,
+};
+
+fn main() -> std::process::ExitCode {
+    CLI.run(run)
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let want_census = std::env::args().any(|a| a == "--census");
-    let trace_out = flag_value("--trace-out");
-    let census_json = flag_value("--census-json");
-    let profile_out = flag_value("--profile-out");
-    let profiling = std::env::args().any(|a| a == "--profile") || profile_out.is_some();
-    // The filter engine never appears in the output: the compiled tier
-    // is observationally identical to the interpreter, and CI diffs a
-    // run under each engine to prove it.
-    let engine = match flag_value("--filter-engine").as_deref() {
-        Some("compiled") => FilterEngine::Compiled,
-        Some("interpret") => FilterEngine::Interpret,
-        None => FilterEngine::default(),
-        Some(other) => {
-            eprintln!("table5: unknown --filter-engine '{other}'");
-            std::process::exit(2);
-        }
-    };
-    let mut trace_events = String::new();
-    let mut census_docs: Vec<String> = Vec::new();
-    let mut profile_runs: Vec<observe::ProfiledRun> = Vec::new();
-    let mut cell_idx: u64 = 0;
-    let (scales, packets): (&[usize], usize) = if quick {
+fn run(args: &cli::Args) -> cli::Result<()> {
+    let engine = args.engine()?;
+    let mut obs = Observe::from_args(args, "table5", SEED);
+    let (scales, packets): (&[usize], usize) = if args.flag("--quick") {
         (&[16, 128], 256)
     } else {
         (&[16, 256, 4096], 512)
@@ -102,27 +86,13 @@ fn main() {
             let mut rows = Vec::new();
             for &n in scales {
                 let spec = WorkloadSpec::at_scale(n, packets, SEED).with_engine(engine);
-                let tracer = trace_out.is_some().then(psd_sim::Tracer::shared);
-                let r = session_scaling_observed(
-                    config,
-                    platform,
-                    strategy,
-                    &spec,
-                    want_census || census_json.is_some(),
-                    tracer.as_ref(),
-                    profiling,
-                );
-                if profiling {
-                    profile_runs.push(observe::ProfiledRun {
-                        label: format!("{} [{}] N={}", config.label(), strategy_label(strategy), n),
-                        hosts: r
-                            .profiles
-                            .iter()
-                            .enumerate()
-                            .map(|(i, (cpu, prof))| observe::host_profile(i, cpu, prof))
-                            .collect(),
-                    });
-                }
+                obs.row(format!(
+                    "{} [{}] N={}",
+                    config.label(),
+                    strategy_label(strategy),
+                    n
+                ));
+                let r = session_scaling(config, platform, strategy, &spec, &mut obs);
                 println!(
                     "  {:>6}  {:>7}  {:>9.1}  {:>9.0}  {:>11.1}  {:>12.2}",
                     r.sessions,
@@ -132,7 +102,7 @@ fn main() {
                     r.bind_rpc.as_nanos() as f64 / 1000.0,
                     r.setup.as_nanos() as f64 / 1e6,
                 );
-                if want_census {
+                if obs.census {
                     if let Some(c) = r.census {
                         println!(
                             "          census(rx): filter-runs={} body-copies={} \
@@ -141,30 +111,6 @@ fn main() {
                         );
                     }
                 }
-                if let Some(t) = &tracer {
-                    let violations = t.borrow().check_invariants();
-                    assert!(violations.is_empty(), "trace invariants: {violations:?}");
-                    let label =
-                        format!("{} [{}] N={}", config.label(), strategy_label(strategy), n);
-                    t.borrow()
-                        .chrome_events(cell_idx, &label, &mut trace_events);
-                }
-                if census_json.is_some() {
-                    let c = r.census.expect("census attached for --census-json");
-                    census_docs.push(format!(
-                        "{{\"config\":\"{}\",\"strategy\":\"{}\",\"sessions\":{},\
-                         \"filter_runs\":{},\"body_copies\":{},\"crossings\":{},\
-                         \"wakeups\":{}}}",
-                        config.label(),
-                        strategy_label(strategy),
-                        n,
-                        c.filter_runs,
-                        c.body_copies,
-                        c.crossings,
-                        c.wakeups
-                    ));
-                }
-                cell_idx += 1;
                 eprintln!(
                     "[wall] {} [{}] N={}: {:.0} ms ({:.0} sim-pkts/s)",
                     config.label(),
@@ -249,22 +195,5 @@ fn main() {
         );
     }
 
-    if let Some(path) = &trace_out {
-        std::fs::write(path, psd_sim::chrome_trace_document(&trace_events))
-            .expect("write trace file");
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = &census_json {
-        let doc = format!("{{\"cells\":[{}]}}\n", census_docs.join(","));
-        std::fs::write(path, doc).expect("write census json");
-        eprintln!("wrote census snapshot to {path}");
-    }
-    if profiling {
-        observe::print_hot_tables(&profile_runs);
-    }
-    if let Some(path) = &profile_out {
-        let doc = observe::profile_json("table5", &profile_runs);
-        std::fs::write(path, doc.write()).expect("write profile json");
-        eprintln!("wrote charged-time profile to {path}");
-    }
+    obs.finish()
 }

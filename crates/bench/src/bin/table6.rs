@@ -1,8 +1,7 @@
 //! Table 6 CLI: the batched-NEWAPI sweep.
 //!
 //! ```text
-//! table6 [--quick] [--json PATH] [--check-baseline PATH] [--schema PATH]
-//!        [--census-json PATH] [--trace-out PATH]
+//! table6 [--quick] [--json PATH] [--census-json PATH] [--trace-out PATH]
 //!        [--profile] [--profile-out PATH]
 //! ```
 //!
@@ -10,183 +9,47 @@
 //! artifact (the committed `BENCH_9.json` is a full run's output).
 //! Every field in the artifact is virtual-time or a deterministic
 //! counter, so two same-seed runs are byte-identical with no
-//! normalization — CI runs twice and diffs the files directly.
-//! `--check-baseline` compares this run's ns/pkt in every
-//! (config, eager, B=64) cell against a committed artifact and exits
-//! nonzero on a >20% regression. `--schema` validates the artifact
-//! against a schema file before writing it. The run itself asserts the
-//! hard invariants (lossless burst, crossings exactly packets/B) and
-//! the monotone-decrease acceptance trend.
+//! normalization — CI runs twice and diffs the files directly, checks
+//! the artifact with `benchdiff --validate` against
+//! `BENCH_BATCH.schema.json`, and gates it with `benchdiff --check
+//! BENCH_9.json`. The run itself asserts the hard invariants (lossless
+//! burst, crossings exactly packets/B) and the monotone-decrease
+//! acceptance trend.
 //!
-//! The observability flags match the other table bins: `--census-json`
-//! writes per-cell census snapshots, `--trace-out` writes a Chrome
-//! trace (one trace process per cell), `--profile` attaches the
-//! charged-time profiler (conservation asserted, hot-site tables to
-//! stderr), and `--profile-out` writes the collapsed-stack artifact.
-//! None of them changes the table or the `--json` artifact.
+//! The observe flags ([`psd_bench::observe`]) treat each cell as one
+//! row; none of them changes the table or the `--json` artifact.
 
-use std::process::ExitCode;
+use psd_bench::cli::{self, Cli, Error};
+use psd_bench::observe::write_artifact;
+use psd_bench::{table6, Observe};
 
-use psd_bench::json::Json;
-use psd_bench::{observe, table6};
+const CLI: Cli = Cli {
+    bin: "table6",
+    switches: &["--quick", "--profile"],
+    values: &[
+        "--json PATH",
+        "--census-json PATH",
+        "--trace-out PATH",
+        "--profile-out PATH",
+    ],
+    synopsis: None,
+};
 
-fn main() -> ExitCode {
-    let mut quick = false;
-    let mut json_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut schema_path: Option<String> = None;
-    let mut census_json: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut profile = false;
-    let mut profile_out: Option<String> = None;
+fn main() -> std::process::ExitCode {
+    CLI.run(run)
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json_path = args.next(),
-            "--check-baseline" => baseline_path = args.next(),
-            "--schema" => schema_path = args.next(),
-            "--census-json" => census_json = args.next(),
-            "--trace-out" => trace_out = args.next(),
-            "--profile" => profile = true,
-            "--profile-out" => profile_out = args.next(),
-            "--help" | "-h" => {
-                println!(
-                    "usage: table6 [--quick] [--json PATH] \
-                     [--check-baseline PATH] [--schema PATH] \
-                     [--census-json PATH] [--trace-out PATH] \
-                     [--profile] [--profile-out PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("table6: unknown argument '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let profiling = profile || profile_out.is_some();
-
-    let (bench, obs) = table6::run_observed(quick, trace_out.is_some(), profiling);
+fn run(args: &cli::Args) -> cli::Result<()> {
+    let mut obs = Observe::from_args(args, "table6", table6::SEED);
+    let bench = table6::run(args.flag("--quick"), &mut obs);
     print!("{}", bench.table());
-    if let Err(e) = bench.check_monotone() {
-        eprintln!("table6: MONOTONICITY FAILED — {e}");
-        return ExitCode::FAILURE;
-    }
+    bench
+        .check_monotone()
+        .map_err(|e| Error::Failed(format!("MONOTONICITY FAILED — {e}")))?;
     eprintln!("table6: crossings/pkt and ns/pkt decrease monotonically in B");
-
-    if let Some(path) = &census_json {
-        let rows: Vec<String> = obs
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{\"label\":\"{}\",\"hosts\":[{}]}}",
-                    o.label,
-                    o.census_hosts.join(",")
-                )
-            })
-            .collect();
-        let doc = format!("{{\"rows\":[{}]}}\n", rows.join(","));
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("table6: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("table6: wrote census snapshot to {path}");
+    obs.finish()?;
+    if let Some(path) = args.value("--json") {
+        write_artifact("table6", "artifact", path, &bench.to_json().write())?;
     }
-    if let Some(path) = &trace_out {
-        let mut trace_events = String::new();
-        for (idx, o) in obs.iter().enumerate() {
-            let t = o.tracer.as_ref().expect("tracer attached for --trace-out");
-            let violations = t.borrow().check_invariants();
-            assert!(violations.is_empty(), "trace invariants: {violations:?}");
-            t.borrow()
-                .chrome_events(idx as u64, &o.label, &mut trace_events);
-        }
-        let doc = psd_sim::chrome_trace_document(&trace_events);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("table6: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("table6: wrote Chrome trace to {path}");
-    }
-    if profiling {
-        let runs: Vec<observe::ProfiledRun> = obs
-            .iter()
-            .map(|o| observe::ProfiledRun {
-                label: o.label.clone(),
-                hosts: o
-                    .profiles
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (cpu, prof))| observe::host_profile(i, cpu, prof))
-                    .collect(),
-            })
-            .collect();
-        observe::print_hot_tables(&runs);
-        if let Some(path) = &profile_out {
-            let doc = observe::profile_json("table6", &runs);
-            if let Err(e) = std::fs::write(path, doc.write()) {
-                eprintln!("table6: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("table6: wrote charged-time profile to {path}");
-        }
-    }
-
-    let artifact = bench.to_json();
-
-    if let Some(path) = &schema_path {
-        let schema_text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("table6: cannot read schema {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = table6::validate_artifact(&artifact, &schema_text) {
-            eprintln!("table6: artifact violates schema: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("table6: artifact validates against {path}");
-    }
-
-    if let Some(path) = &json_path {
-        if let Err(e) = std::fs::write(path, artifact.write()) {
-            eprintln!("table6: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("table6: wrote {path}");
-    }
-
-    if let Some(path) = &baseline_path {
-        let committed = match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("table6: cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("table6: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match table6::check_against_baseline(&bench, &committed, 0.2) {
-            Ok(cells) => {
-                for (key, ns, committed_ns) in cells {
-                    eprintln!(
-                        "table6: gate ok — {key} {ns:.0} ns/pkt vs committed {committed_ns:.0}"
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("table6: GATE FAILED — {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -6,39 +6,42 @@
 //!   cargo run --release -p psd-bench --bin ttcp -- \
 //!       [--config library-shm-ipf] [--platform decstation] \
 //!       [--mb 16] [--newapi] [--loss 0.01] [--seed 42]
+//!
+//! `--config` takes a short name (`mach25`/`in-kernel`, `ultrix`,
+//! `386bsd`, `ux`/`server`, `bnr2ss`, `library-ipc`, `library-shm`,
+//! `library-shm-ipf`/`library`) or the paper's row label;
+//! `--platform` takes `decstation` or `gateway`/`i486`. `--loss`
+//! arms seeded wire loss at that probability.
 
+use psd_bench::cli::{self, Cli};
 use psd_bench::{ttcp, ApiStyle};
 use psd_sim::Platform;
 use psd_systems::{SystemConfig, TestBed};
 
-fn arg(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
+const CLI: Cli = Cli {
+    bin: "ttcp",
+    switches: &["--newapi"],
+    values: &[
+        "--config NAME",
+        "--platform NAME",
+        "--mb N",
+        "--seed N",
+        "--loss P",
+    ],
+    synopsis: None,
+};
+
+fn main() -> std::process::ExitCode {
+    CLI.run(run)
 }
 
-fn parse_config(s: &str) -> SystemConfig {
-    match s {
-        "mach25" | "in-kernel" => SystemConfig::Mach25InKernel,
-        "ultrix" => SystemConfig::Ultrix42InKernel,
-        "386bsd" => SystemConfig::Bsd386InKernel,
-        "ux" | "server" => SystemConfig::UxServer,
-        "bnr2ss" => SystemConfig::Bnr2ssServer,
-        "library-ipc" => SystemConfig::LibraryIpc,
-        "library-shm" => SystemConfig::LibraryShm,
-        "library-shm-ipf" | "library" => SystemConfig::LibraryShmIpf,
-        other => panic!("unknown config {other}"),
-    }
-}
-
-fn main() {
-    let config = parse_config(&arg("--config").unwrap_or_else(|| "library-shm-ipf".into()));
-    let platform = match arg("--platform").as_deref() {
-        Some("gateway") | Some("i486") => Platform::Gateway486,
-        _ => Platform::DecStation5000_200,
-    };
-    let mb: usize = arg("--mb").and_then(|v| v.parse().ok()).unwrap_or(16);
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let loss: f64 = arg("--loss").and_then(|v| v.parse().ok()).unwrap_or(0.0);
-    let api = if std::env::args().any(|a| a == "--newapi") {
+fn run(args: &cli::Args) -> cli::Result<()> {
+    let config = args.config(SystemConfig::LibraryShmIpf)?;
+    let platform = args.platform(Platform::DecStation5000_200)?;
+    let mb: usize = args.num("--mb", 16)?;
+    let seed = args.num("--seed", 42)?;
+    let loss: f64 = args.num("--loss", 0.0)?;
+    let api = if args.flag("--newapi") {
         ApiStyle::Newapi
     } else {
         ApiStyle::Classic
@@ -62,4 +65,5 @@ fn main() {
         platform.label(),
         r.retransmits
     );
+    Ok(())
 }

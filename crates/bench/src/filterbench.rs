@@ -42,7 +42,7 @@ use psd_wire::{
 };
 use std::net::Ipv4Addr;
 
-use crate::json::{normalize_volatile, validate, Json};
+use crate::json::{normalize_volatile, Json};
 
 /// Seed for every filterbench run (specs and probe frames).
 pub const SEED: u64 = 77;
@@ -481,55 +481,6 @@ impl FilterBench {
     }
 }
 
-/// Checks measured ns/match for the (Cspf, Compiled, 4096) cell
-/// against a committed artifact: fails (Err) when it exceeds
-/// `1 + tolerance` of the committed value (lower is better, so the
-/// gate is an upper bound). Returns (measured, committed) on success.
-pub fn check_against_baseline(
-    measured: &FilterBench,
-    committed: &Json,
-    tolerance: f64,
-) -> Result<(f64, f64), String> {
-    let committed_ns = committed
-        .get("table")
-        .and_then(Json::as_arr)
-        .and_then(|rows| {
-            rows.iter().find(|r| {
-                r.get("strategy").and_then(Json::as_str) == Some("Cspf")
-                    && r.get("engine").and_then(Json::as_str) == Some("Compiled")
-                    && r.get("filters").and_then(Json::as_f64) == Some(4096.0)
-            })
-        })
-        .and_then(|r| r.get("ns_per_match"))
-        .and_then(Json::as_f64)
-        .ok_or("committed artifact has no (Cspf, Compiled, 4096) table row")?;
-    let row = measured
-        .table
-        .iter()
-        .find(|r| {
-            r.strategy == DemuxStrategy::Cspf
-                && r.engine == FilterEngine::Compiled
-                && r.filters == 4096
-        })
-        .ok_or("measured run has no (Cspf, Compiled, 4096) table row")?;
-    let ns = row.ns_per_match();
-    if ns > committed_ns * (1.0 + tolerance) {
-        return Err(format!(
-            "ns/match regression: measured {ns:.0} > {:.0} ({}% above committed {committed_ns:.0})",
-            committed_ns * (1.0 + tolerance),
-            (tolerance * 100.0) as u32,
-        ));
-    }
-    Ok((ns, committed_ns))
-}
-
-/// Validates an artifact against the checked-in
-/// `BENCH_FILTER.schema.json` text.
-pub fn validate_artifact(artifact: &Json, schema_text: &str) -> Result<(), String> {
-    let schema = Json::parse(schema_text).map_err(|e| format!("schema unparseable: {e}"))?;
-    validate(artifact, &schema)
-}
-
 /// Normalizes an artifact for same-seed comparison (zeroes the
 /// wall-clock-derived fields).
 pub fn normalized_text(artifact: &Json) -> String {
@@ -583,6 +534,8 @@ mod tests {
         }
     }
 
+    /// The artifact this module writes carries the cell
+    /// `benchdiff --check` gates on, and a slowdown trips the gate.
     #[test]
     fn regression_gate_trips_on_slowdown() {
         let fast = FilterBench {
@@ -601,8 +554,11 @@ mod tests {
         let mut slow = fast.clone();
         slow.table[0].wall_ns = 2_000_000; // double the ns/match
         let committed = fast.to_json();
-        assert!(check_against_baseline(&fast, &committed, 0.2).is_ok());
-        assert!(check_against_baseline(&slow, &committed, 0.2).is_err());
+        let gate = |measured: &FilterBench| {
+            crate::benchdiff::check(&committed, &measured.to_json(), 0.2, None)
+        };
+        assert!(gate(&fast).is_ok());
+        assert!(gate(&slow).is_err());
     }
 
     #[test]

@@ -9,18 +9,21 @@
 //! Both are written event-driven against the [`psd_core::AppLib`]
 //! proxy interface — the same socket API every configuration exports —
 //! so a single workload implementation measures all eight systems.
+//!
+//! Every bin parses its command line with [`cli`] and attaches the
+//! observability planes through [`observe`].
 
 pub mod benchdiff;
+pub mod cli;
 pub mod filterbench;
 pub mod json;
+pub mod microbench;
 pub mod observe;
+pub mod scaling;
 pub mod selfbench;
 pub mod table6;
 pub mod tables;
-pub mod workload;
-pub mod workloads;
 
-pub use workload::{
-    session_scaling, session_scaling_observed, session_scaling_with, ScaleReport, WorkloadSpec,
-};
-pub use workloads::{protolat, ttcp, ApiStyle, ProtolatResult, TtcpResult};
+pub use microbench::{protolat, ttcp, ApiStyle, ProtolatResult, TtcpResult};
+pub use observe::Observe;
+pub use scaling::{session_scaling, ScaleReport, WorkloadSpec};

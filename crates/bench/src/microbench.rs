@@ -1,4 +1,6 @@
-//! The `ttcp` and `protolat` workloads.
+//! The paper's two microbenchmarks, `ttcp` and `protolat`, as
+//! workloads over any testbed (the `ttcp` and `protolat` bins and the
+//! Table 2–4 generators drive them).
 
 use std::cell::RefCell;
 use std::rc::Rc;

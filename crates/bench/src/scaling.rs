@@ -21,12 +21,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use psd_core::{AppHandle, AppLib, Fd};
+use psd_core::{AppLib, Fd};
 use psd_filter::{DemuxStrategy, FilterEngine};
 use psd_netstack::{InetAddr, SockEvent, SocketError};
 use psd_server::Proto;
 use psd_sim::{OpKind, Platform, Rng, SimTime};
 use psd_systems::{SystemConfig, TestBed};
+
+use crate::Observe;
 
 /// Number of sender-side source sockets. Connected receiver sessions
 /// are pinned to one of these source ports, giving the filter table a
@@ -170,11 +172,6 @@ pub struct ScaleReport {
     pub events: u64,
     /// Receiving-host census totals, when a census was attached.
     pub census: Option<CensusCounts>,
-    /// Per-host `(cpu, profiler)` pairs when charged-time profiling was
-    /// requested (the handles outlive the testbed), empty otherwise.
-    /// Profiling charges no virtual time, so every other field is
-    /// byte-identical with or without it.
-    pub profiles: Vec<(Rc<RefCell<psd_sim::Cpu>>, psd_sim::ProfileHandle)>,
     /// Wall-clock duration of the whole run (never byte-stable; keep
     /// off reproducible output).
     pub wall: Duration,
@@ -183,44 +180,17 @@ pub struct ScaleReport {
 }
 
 /// Runs the session-scaling workload for one placement, strategy, and
-/// session count. Deterministic given `spec.seed` in everything except
+/// session count, with the planes `obs` requests attached to the
+/// testbed for the whole run (under the caller's open row). No plane
+/// charges virtual time, so the report is identical with or without
+/// them. Deterministic given `spec.seed` in everything except
 /// [`ScaleReport::wall`].
 pub fn session_scaling(
     config: SystemConfig,
     platform: Platform,
     strategy: DemuxStrategy,
     spec: &WorkloadSpec,
-    want_census: bool,
-) -> ScaleReport {
-    session_scaling_with(config, platform, strategy, spec, want_census, None)
-}
-
-/// [`session_scaling`] with an optional packet-lifecycle tracer
-/// attached to the testbed for the whole run. Tracing never charges
-/// virtual time, so the report is identical with or without it.
-pub fn session_scaling_with(
-    config: SystemConfig,
-    platform: Platform,
-    strategy: DemuxStrategy,
-    spec: &WorkloadSpec,
-    want_census: bool,
-    tracer: Option<&psd_sim::TraceHandle>,
-) -> ScaleReport {
-    session_scaling_observed(config, platform, strategy, spec, want_census, tracer, false)
-}
-
-/// [`session_scaling_with`] plus an optional charged-time profiler on
-/// every host CPU; the handles come back in [`ScaleReport::profiles`].
-/// Like tracing, profiling is charged-time-neutral.
-#[allow(clippy::too_many_arguments)]
-pub fn session_scaling_observed(
-    config: SystemConfig,
-    platform: Platform,
-    strategy: DemuxStrategy,
-    spec: &WorkloadSpec,
-    want_census: bool,
-    tracer: Option<&psd_sim::TraceHandle>,
-    profile: bool,
+    obs: &mut Observe,
 ) -> ScaleReport {
     let wall0 = Instant::now();
     let mut bed = TestBed::new(config, platform, spec.seed);
@@ -233,11 +203,7 @@ pub fn session_scaling_observed(
     // The placement policy must exist before any session filter is
     // installed — flows are classified at install time.
     bed.set_placement_policy(spec.placement.clone());
-    let censuses = want_census.then(|| bed.attach_census());
-    if let Some(t) = tracer {
-        bed.attach_tracer_handle(t);
-    }
-    let profilers = profile.then(|| bed.attach_profilers());
+    let censuses = obs.attach(&mut bed);
     let mut rng = Rng::new(spec.seed ^ 0x5EED_5CA1_E000_0001);
 
     // --- Sender: a few fixed source sockets. ---
@@ -422,15 +388,6 @@ pub fn session_scaling_observed(
         ballast_timers: spec.ballast_timers,
         events,
         census,
-        profiles: profilers
-            .map(|ps| {
-                bed.hosts
-                    .iter()
-                    .zip(ps)
-                    .map(|(h, p)| (h.cpu.clone(), p))
-                    .collect()
-            })
-            .unwrap_or_default(),
         wall: wall0.elapsed(),
         wall_burst,
     }
@@ -447,16 +404,25 @@ fn schedule_keepalive(sim: &mut psd_sim::Sim, period: SimTime, active: Rc<std::c
     });
 }
 
-/// Convenience: the receiving app handle type used by the engine.
-pub type App = AppHandle;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn counted() -> Observe {
+        let mut obs = Observe::default();
+        obs.census = true;
+        obs
+    }
+
     fn report(config: SystemConfig, strategy: DemuxStrategy, n: usize) -> ScaleReport {
         let spec = WorkloadSpec::at_scale(n, 64, 42);
-        session_scaling(config, Platform::DecStation5000_200, strategy, &spec, false)
+        session_scaling(
+            config,
+            Platform::DecStation5000_200,
+            strategy,
+            &spec,
+            &mut Observe::default(),
+        )
     }
 
     #[test]
@@ -495,14 +461,14 @@ mod tests {
                 Platform::DecStation5000_200,
                 strategy,
                 &spec.clone().with_engine(FilterEngine::Interpret),
-                true,
+                &mut counted(),
             );
             let b = session_scaling(
                 SystemConfig::LibraryShm,
                 Platform::DecStation5000_200,
                 strategy,
                 &spec.with_engine(FilterEngine::Compiled),
-                true,
+                &mut counted(),
             );
             assert_eq!(a.packets_rx, b.packets_rx);
             assert_eq!(a.steps_per_packet, b.steps_per_packet);
@@ -529,14 +495,14 @@ mod tests {
             Platform::DecStation5000_200,
             DemuxStrategy::Mpf,
             &spec.clone(),
-            true,
+            &mut counted(),
         );
         let b = session_scaling(
             SystemConfig::LibraryIpc,
             Platform::DecStation5000_200,
             DemuxStrategy::Mpf,
             &spec.with_batch(psd_kernel::BatchConfig::unbatched()),
-            true,
+            &mut counted(),
         );
         assert_eq!(a.packets_rx, b.packets_rx);
         assert_eq!(a.steps_per_packet, b.steps_per_packet);
@@ -556,7 +522,7 @@ mod tests {
             Platform::DecStation5000_200,
             DemuxStrategy::Mpf,
             &spec.clone(),
-            true,
+            &mut counted(),
         );
         let batched = session_scaling(
             SystemConfig::LibraryShm,
@@ -567,7 +533,7 @@ mod tests {
                 gro: false,
                 gso: false,
             }),
-            true,
+            &mut counted(),
         );
         // Same frames delivered, same filter work — only the crossing
         // count shrinks.
@@ -598,7 +564,7 @@ mod tests {
                 Platform::DecStation5000_200,
                 DemuxStrategy::Mpf,
                 &spec,
-                false,
+                &mut Observe::default(),
             )
         };
         let base = run(0);

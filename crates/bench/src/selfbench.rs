@@ -35,8 +35,9 @@ use psd_filter::DemuxStrategy;
 use psd_sim::{BaselineHandle, BaselineQueue, Platform, Sim, SimHandle, SimTime};
 use psd_systems::SystemConfig;
 
-use crate::json::{normalize_volatile, validate, Json};
-use crate::workload::{session_scaling, WorkloadSpec};
+use crate::json::{normalize_volatile, Json};
+use crate::scaling::{session_scaling, WorkloadSpec};
+use crate::Observe;
 
 /// Sessions backed by real sockets; the rest of a row's session count
 /// is timer ballast. Bounded well inside the 16-bit receiver port space
@@ -243,7 +244,7 @@ pub fn packet_row(config: SystemConfig, sessions: usize, packets: usize) -> Pack
         Platform::DecStation5000_200,
         DemuxStrategy::Mpf,
         &spec,
-        false,
+        &mut Observe::default(),
     );
     PacketRow {
         config,
@@ -425,48 +426,6 @@ impl SelfBench {
     }
 }
 
-/// Checks measured wheel events/sec at 64k timers against a committed
-/// artifact: fails (Err) when it drops below `1 - tolerance` of the
-/// committed value. Returns (measured, committed) on success.
-pub fn check_against_baseline(
-    measured: &SelfBench,
-    committed: &Json,
-    tolerance: f64,
-) -> Result<(f64, f64), String> {
-    let committed_eps = committed
-        .get("engine")
-        .and_then(|e| e.get("wheel"))
-        .and_then(Json::as_arr)
-        .and_then(|rows| {
-            rows.iter()
-                .find(|r| r.get("timers").and_then(Json::as_f64) == Some(65_536.0))
-        })
-        .and_then(|r| r.get("events_per_sec"))
-        .and_then(Json::as_f64)
-        .ok_or("committed artifact has no wheel row at 65536 timers")?;
-    let row = measured
-        .wheel
-        .iter()
-        .find(|r| r.timers == 65_536)
-        .ok_or("measured run has no wheel row at 65536 timers")?;
-    let eps = row.events_per_sec();
-    if eps < committed_eps * (1.0 - tolerance) {
-        return Err(format!(
-            "events/sec regression: measured {eps:.0} < {:.0} ({}% below committed {committed_eps:.0})",
-            committed_eps * (1.0 - tolerance),
-            (tolerance * 100.0) as u32,
-        ));
-    }
-    Ok((eps, committed_eps))
-}
-
-/// Validates an artifact against the checked-in `BENCH.schema.json`
-/// text.
-pub fn validate_artifact(artifact: &Json, schema_text: &str) -> Result<(), String> {
-    let schema = Json::parse(schema_text).map_err(|e| format!("schema unparseable: {e}"))?;
-    validate(artifact, &schema)
-}
-
 /// Normalizes an artifact for same-seed comparison (zeroes the
 /// wall-clock-derived fields).
 pub fn normalized_text(artifact: &Json) -> String {
@@ -506,11 +465,10 @@ mod tests {
         };
         let s = bench.speedup_at(65_536).unwrap();
         assert!((s - 3.0).abs() < 1e-9);
-        let json = bench.to_json();
-        let (eps, committed) = check_against_baseline(&bench, &json, 0.2).unwrap();
-        assert_eq!(eps, committed);
     }
 
+    /// The artifact this module writes carries the row
+    /// `benchdiff --check` gates on, and a slowdown trips the gate.
     #[test]
     fn regression_gate_trips_on_slowdown() {
         let fast = SelfBench {
@@ -526,7 +484,10 @@ mod tests {
         let mut slow = fast.clone();
         slow.wheel[0].wall_ns = 2_000_000; // half the events/sec
         let committed = fast.to_json();
-        assert!(check_against_baseline(&fast, &committed, 0.2).is_ok());
-        assert!(check_against_baseline(&slow, &committed, 0.2).is_err());
+        let gate = |measured: &SelfBench| {
+            crate::benchdiff::check(&committed, &measured.to_json(), 0.2, None)
+        };
+        assert!(gate(&fast).is_ok());
+        assert!(gate(&slow).is_err());
     }
 }

@@ -35,7 +35,8 @@ use psd_sim::{OpKind, Platform, SimTime};
 use psd_systems::{SystemConfig, TestBed};
 use std::rc::Rc;
 
-use crate::json::{validate, Json};
+use crate::json::Json;
+use crate::Observe;
 
 /// Seed for every Table 6 run.
 pub const SEED: u64 = 93;
@@ -174,37 +175,18 @@ pub struct Table6 {
     pub rows: Vec<Table6Row>,
 }
 
-/// Per-cell observability hooks collected by [`run_cell_observed`]:
-/// everything here is charged-time-neutral, so [`Table6Row`] is
-/// byte-identical whether or not any hook was requested.
-pub struct CellObs {
-    /// `config | mode | B` label for artifact rows.
-    pub label: String,
-    /// Per-host census snapshots as JSON (the census is always
-    /// attached; the snapshot is only exported on request).
-    pub census_hosts: Vec<String>,
-    /// Packet-lifecycle tracer, when tracing was requested.
-    pub tracer: Option<psd_sim::TraceHandle>,
-    /// Per-host `(cpu, profiler)` pairs, when profiling was requested.
-    pub profiles: Vec<(Rc<std::cell::RefCell<psd_sim::Cpu>>, psd_sim::ProfileHandle)>,
-}
-
-/// Runs one cell and checks its hard invariants: zero drops, every
+/// Runs one cell, with the planes `obs` requests attached under the
+/// caller's open row, and checks its hard invariants: zero drops, every
 /// datagram delivered, and the crossing count exactly `packets / B`.
-pub fn run_cell(config: SystemConfig, mode: CopyMode, batch: usize, packets: usize) -> Table6Row {
-    run_cell_observed(config, mode, batch, packets, false, false).0
-}
-
-/// [`run_cell`] with optional packet tracing and charged-time
-/// profiling attached to the cell's testbed.
-pub fn run_cell_observed(
+/// No plane charges virtual time, so the row is identical with or
+/// without them.
+pub fn run_cell(
     config: SystemConfig,
     mode: CopyMode,
     batch: usize,
     packets: usize,
-    trace: bool,
-    profile: bool,
-) -> (Table6Row, CellObs) {
+    obs: &mut Observe,
+) -> Table6Row {
     assert!(
         packets.is_multiple_of(batch),
         "packets must divide by the window"
@@ -220,12 +202,8 @@ pub fn run_cell_observed(
             PlacementPolicy::new().resident_ports(RX_PORT, RX_PORT),
         ));
     }
-    let censuses = bed.attach_census();
-    let tracer = trace.then(psd_sim::Tracer::shared);
-    if let Some(t) = &tracer {
-        bed.attach_tracer_handle(t);
-    }
-    let profilers = profile.then(|| bed.attach_profilers());
+    // The census is part of the measurement; reuse the observed one.
+    let censuses = obs.attach(&mut bed).unwrap_or_else(|| bed.attach_census());
 
     // Sender on host 0, one connected UDP socket; receiver session on
     // host 1. The receiver binds before the policy could matter: the
@@ -315,7 +293,7 @@ pub fn run_cell_observed(
         config.label()
     );
 
-    let row = Table6Row {
+    Table6Row {
         config,
         mode,
         batch,
@@ -326,25 +304,7 @@ pub fn run_cell_observed(
         header_copies: headers1 - headers0,
         header_only: k1.header_only_deliveries - k0.header_only_deliveries,
         busy_ns: (busy1 - busy0).as_nanos(),
-    };
-    let obs = CellObs {
-        label: format!("{} | {} | B={batch}", config.label(), mode.label()),
-        census_hosts: censuses
-            .iter()
-            .map(|c| c.borrow().snapshot_json())
-            .collect(),
-        tracer,
-        profiles: profilers
-            .map(|ps| {
-                bed.hosts
-                    .iter()
-                    .zip(ps)
-                    .map(|(h, p)| (h.cpu.clone(), p))
-                    .collect()
-            })
-            .unwrap_or_default(),
-    };
-    (row, obs)
+    }
 }
 
 fn drain(bed: &mut TestBed, app: &psd_core::AppHandle, fd: Fd, pull: bool) -> usize {
@@ -359,33 +319,24 @@ fn drain(bed: &mut TestBed, app: &psd_core::AppHandle, fd: Fd, pull: bool) -> us
     }
 }
 
-/// Runs the full (or `--quick`) Table 6 matrix.
-pub fn run(quick: bool) -> Table6 {
-    run_observed(quick, false, false).0
-}
-
-/// [`run`] with per-cell observability hooks (tracing / profiling).
-pub fn run_observed(quick: bool, trace: bool, profile: bool) -> (Table6, Vec<CellObs>) {
+/// Runs the full (or `--quick`) Table 6 matrix, one `obs` row per
+/// cell labelled `config | mode | B=b`.
+pub fn run(quick: bool, obs: &mut Observe) -> Table6 {
     let packets = if quick { PACKETS_QUICK } else { PACKETS_FULL };
     let mut rows = Vec::new();
-    let mut obs = Vec::new();
     for config in CONFIGS {
         for &mode in modes(quick) {
             for &b in batches(quick) {
-                let (row, o) = run_cell_observed(config, mode, b, packets, trace, profile);
-                rows.push(row);
-                obs.push(o);
+                obs.row(format!("{} | {} | B={b}", config.label(), mode.label()));
+                rows.push(run_cell(config, mode, b, packets, obs));
             }
         }
     }
-    (
-        Table6 {
-            quick,
-            packets,
-            rows,
-        },
-        obs,
-    )
+    Table6 {
+        quick,
+        packets,
+        rows,
+    }
 }
 
 impl Table6 {
@@ -520,68 +471,21 @@ impl Table6 {
     }
 }
 
-/// Checks measured ns/pkt for every (config, eager, B=64) cell against
-/// a committed artifact: fails when any exceeds `1 + tolerance` of the
-/// committed value. ns/pkt is virtual time, so this gate catches cost-
-/// model regressions, not host noise.
-pub fn check_against_baseline(
-    measured: &Table6,
-    committed: &Json,
-    tolerance: f64,
-) -> Result<Vec<(String, f64, f64)>, String> {
-    let rows = committed
-        .get("table")
-        .and_then(Json::as_arr)
-        .ok_or("committed artifact has no table")?;
-    let mut checked = Vec::new();
-    for config in CONFIGS {
-        let key = config_key(config);
-        let committed_ns = rows
-            .iter()
-            .find(|r| {
-                r.get("config").and_then(Json::as_str) == Some(key)
-                    && r.get("mode").and_then(Json::as_str) == Some("eager")
-                    && r.get("batch").and_then(Json::as_f64) == Some(64.0)
-            })
-            .and_then(|r| r.get("ns_per_pkt"))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("committed artifact has no ({key}, eager, 64) row"))?;
-        let row = measured
-            .rows
-            .iter()
-            .find(|r| r.config == config && r.mode == CopyMode::Eager && r.batch == 64)
-            .ok_or_else(|| format!("measured run has no ({key}, eager, 64) row"))?;
-        let ns = row.ns_per_pkt();
-        if ns > committed_ns * (1.0 + tolerance) {
-            return Err(format!(
-                "{key}: ns/pkt regression at B=64: measured {ns:.0} > {:.0} \
-                 ({}% above committed {committed_ns:.0})",
-                committed_ns * (1.0 + tolerance),
-                (tolerance * 100.0) as u32,
-            ));
-        }
-        checked.push((key.to_string(), ns, committed_ns));
-    }
-    Ok(checked)
-}
-
-/// Validates an artifact against the checked-in
-/// `BENCH_BATCH.schema.json` text.
-pub fn validate_artifact(artifact: &Json, schema_text: &str) -> Result<(), String> {
-    let schema = Json::parse(schema_text).map_err(|e| format!("schema unparseable: {e}"))?;
-    validate(artifact, &schema)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::validate;
+
+    fn cell(config: SystemConfig, mode: CopyMode, batch: usize, packets: usize) -> Table6Row {
+        run_cell(config, mode, batch, packets, &mut Observe::default())
+    }
 
     #[test]
     fn cell_charges_exact_crossings_and_is_deterministic() {
         // run_cell itself asserts crossings == packets/B and zero
         // drops; two runs must agree on every field.
-        let a = run_cell(SystemConfig::LibraryShm, CopyMode::Eager, 16, 64);
-        let b = run_cell(SystemConfig::LibraryShm, CopyMode::Eager, 16, 64);
+        let a = cell(SystemConfig::LibraryShm, CopyMode::Eager, 16, 64);
+        let b = cell(SystemConfig::LibraryShm, CopyMode::Eager, 16, 64);
         assert_eq!(a.crossings, 4);
         assert_eq!(a.busy_ns, b.busy_ns);
         assert_eq!(a.body_copies, b.body_copies);
@@ -593,9 +497,9 @@ mod tests {
         // Non-IPF placements always pay the physical device → kernel
         // copy at interrupt level; selective placement removes the
         // kernel → ring copy, one per packet.
-        let eager = run_cell(SystemConfig::LibraryIpc, CopyMode::Eager, 4, 64);
-        let resident = run_cell(SystemConfig::LibraryIpc, CopyMode::Resident, 4, 64);
-        let pulled = run_cell(SystemConfig::LibraryIpc, CopyMode::ResidentPull, 4, 64);
+        let eager = cell(SystemConfig::LibraryIpc, CopyMode::Eager, 4, 64);
+        let resident = cell(SystemConfig::LibraryIpc, CopyMode::Resident, 4, 64);
+        let pulled = cell(SystemConfig::LibraryIpc, CopyMode::ResidentPull, 4, 64);
         assert_eq!(eager.header_only, 0);
         assert_eq!(resident.header_only, 64);
         assert_eq!(resident.body_copies + 64, eager.body_copies);
@@ -606,7 +510,7 @@ mod tests {
 
         // The integrated filter defers even the device copy, so the
         // kernel-resident cell is the zero-copy one: copies/pkt == 0.
-        let zc = run_cell(SystemConfig::LibraryShmIpf, CopyMode::Resident, 4, 64);
+        let zc = cell(SystemConfig::LibraryShmIpf, CopyMode::Resident, 4, 64);
         assert_eq!(zc.header_only, 64);
         assert_eq!(zc.body_copies, 0, "ShmIpf resident is zero-copy");
     }
@@ -615,12 +519,7 @@ mod tests {
     fn batching_monotonically_reduces_crossings_and_busy_time() {
         let mut rows = Vec::new();
         for &b in &[1usize, 4, 16, 64] {
-            rows.push(run_cell(
-                SystemConfig::LibraryShmIpf,
-                CopyMode::Eager,
-                b,
-                64,
-            ));
+            rows.push(cell(SystemConfig::LibraryShmIpf, CopyMode::Eager, b, 64));
         }
         for pair in rows.windows(2) {
             assert!(pair[1].crossings < pair[0].crossings);
@@ -637,28 +536,27 @@ mod tests {
 
     #[test]
     fn artifact_is_schema_valid_and_byte_stable() {
-        let a = run(true);
+        let a = run(true, &mut Observe::default());
         assert!(a.check_monotone().is_ok());
-        let schema = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_BATCH.schema.json"
-        ))
-        .expect("schema present");
-        validate_artifact(&a.to_json(), &schema).expect("schema-valid");
-        let b = run(true);
+        let schema =
+            Json::parse(include_str!("../../../BENCH_BATCH.schema.json")).expect("schema parses");
+        validate(&a.to_json(), &schema).expect("schema-valid");
+        let b = run(true, &mut Observe::default());
         assert_eq!(a.deterministic_signature(), b.deterministic_signature());
         assert_eq!(a.to_json().write(), b.to_json().write());
     }
 
+    /// The artifact this module writes carries the cells
+    /// `benchdiff --check` gates on, and a slowdown trips the gate.
     #[test]
     fn regression_gate_trips_on_slowdown() {
-        let fast = run(true);
+        let fast = run(true, &mut Observe::default());
         let committed = fast.to_json();
-        assert!(check_against_baseline(&fast, &committed, 0.2).is_ok());
+        assert!(crate::benchdiff::check(&committed, &committed, 0.2, None).is_ok());
         let mut slow = fast.clone();
         for r in &mut slow.rows {
             r.busy_ns *= 2;
         }
-        assert!(check_against_baseline(&slow, &committed, 0.2).is_err());
+        assert!(crate::benchdiff::check(&committed, &slow.to_json(), 0.2, None).is_err());
     }
 }

@@ -13,7 +13,8 @@
 mod common;
 
 use common::run_until;
-use psd::bench::{session_scaling, WorkloadSpec};
+use psd::bench::scaling::{session_scaling, WorkloadSpec};
+use psd::bench::Observe;
 use psd::core::{AppHandle, AppLib, Fd, FdEventFn};
 use psd::filter::DemuxStrategy;
 use psd::netstack::{InetAddr, SockEvent};
@@ -36,7 +37,7 @@ fn kernel_filter_cost_flat_for_mpf_linear_for_cspf() {
             Platform::DecStation5000_200,
             strategy,
             &WorkloadSpec::at_scale(n, 128, 42),
-            false,
+            &mut Observe::default(),
         )
     };
     let m16 = run(DemuxStrategy::Mpf, 16);

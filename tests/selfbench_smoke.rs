@@ -6,7 +6,12 @@
 //! checked-in `BENCH.schema.json`, which is what CI uploads and gates
 //! on.
 
+use psd::bench::json::{validate, Json};
 use psd::bench::selfbench;
+
+fn schema() -> Json {
+    Json::parse(include_str!("../BENCH.schema.json")).expect("BENCH.schema.json parses")
+}
 
 #[test]
 fn quick_selfbench_is_deterministic_and_schema_valid() {
@@ -30,9 +35,7 @@ fn quick_selfbench_is_deterministic_and_schema_valid() {
     );
 
     // The artifact CI archives must match the committed schema.
-    let schema = include_str!("../BENCH.schema.json");
-    selfbench::validate_artifact(&ja, schema)
-        .expect("artifact validates against BENCH.schema.json");
+    validate(&ja, &schema()).expect("artifact validates against BENCH.schema.json");
 
     // Sanity: quick mode still measures both engines and real packets.
     assert!(!a.baseline.is_empty() && !a.wheel.is_empty());
@@ -48,14 +51,13 @@ fn committed_artifact_matches_schema_and_gate_shape() {
     // The committed full-run artifact must stay parseable, schema-valid,
     // and must contain the 64k wheel row the CI regression gate reads.
     let text = include_str!("../BENCH_6.json");
-    let artifact = psd::bench::json::Json::parse(text).expect("BENCH_6.json parses");
-    let schema = include_str!("../BENCH.schema.json");
-    selfbench::validate_artifact(&artifact, schema).expect("BENCH_6.json validates");
+    let artifact = Json::parse(text).expect("BENCH_6.json parses");
+    validate(&artifact, &schema()).expect("BENCH_6.json validates");
 
     let speedup = artifact
         .get("engine")
         .and_then(|e| e.get("speedup"))
-        .and_then(psd::bench::json::Json::as_f64)
+        .and_then(Json::as_f64)
         .expect("committed artifact records the engine speedup");
     assert!(
         speedup >= 3.0,
@@ -65,10 +67,10 @@ fn committed_artifact_matches_schema_and_gate_shape() {
     let wheel_64k = artifact
         .get("engine")
         .and_then(|e| e.get("wheel"))
-        .and_then(psd::bench::json::Json::as_arr)
+        .and_then(Json::as_arr)
         .map(|rows| {
             rows.iter()
-                .any(|r| r.get("timers").and_then(psd::bench::json::Json::as_f64) == Some(65_536.0))
+                .any(|r| r.get("timers").and_then(Json::as_f64) == Some(65_536.0))
         })
         .unwrap_or(false);
     assert!(

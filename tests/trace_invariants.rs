@@ -16,7 +16,8 @@
 mod common;
 
 use common::run_until;
-use psd::bench::workload::{session_scaling_with, WorkloadSpec};
+use psd::bench::scaling::{session_scaling, WorkloadSpec};
+use psd::bench::Observe;
 use psd::core::{AppHandle, AppLib, Fd, FdEventFn};
 use psd::filter::DemuxStrategy;
 use psd::netstack::{InetAddr, SockEvent};
@@ -225,16 +226,18 @@ fn chaos_style_run_satisfies_invariants() {
 /// mixed UDP/TCP sessions, every one accounted for.
 #[test]
 fn scale_workload_satisfies_invariants() {
-    let tracer = Tracer::shared();
+    let mut obs = Observe::default();
+    obs.stages = true;
+    obs.row("scale workload");
     let spec = WorkloadSpec::at_scale(24, 64, 42);
-    let r = session_scaling_with(
+    let r = session_scaling(
         SystemConfig::LibraryShmIpf,
         Platform::DecStation5000_200,
         DemuxStrategy::Mpf,
         &spec,
-        false,
-        Some(&tracer),
+        &mut obs,
     );
+    let tracer = obs.tracer().expect("tracing").clone();
     assert!(r.packets_rx >= 64);
     assert_invariants(&tracer, "scale workload");
     let t = tracer.borrow();
